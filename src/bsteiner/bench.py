@@ -27,7 +27,7 @@ class BenchRow:
     ratio_vs_prev: float
 
 
-def bench(sizes, seed: int, reps: int = 5, yao_impl: str = "fast") -> list[BenchRow]:
+def bench(sizes, seed: int, reps: int = 5) -> list[BenchRow]:
     """Median solve times over `reps` seeded instances per size.
 
     Sizes must ascend; each size N splits into n = N // 2 terminals and
@@ -40,7 +40,7 @@ def bench(sizes, seed: int, reps: int = 5, yao_impl: str = "fast") -> list[Bench
         raise ValueError("sizes must be strictly ascending")
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    solve(*gen_random_instance(8, 8, EXTENT, seed=0), yao_impl=yao_impl)  # warm-up
+    solve(*gen_random_instance(8, 8, EXTENT, seed=0))  # warm-up
     rows: list[BenchRow] = []
     prev: int | None = None
     for si, size in enumerate(sizes):
@@ -50,7 +50,7 @@ def bench(sizes, seed: int, reps: int = 5, yao_impl: str = "fast") -> list[Bench
         for rep in range(reps):
             P, S = gen_random_instance(n, m, EXTENT, seed=[seed, si, rep])
             t0 = time.perf_counter_ns()
-            solve(P, S, yao_impl=yao_impl)
+            solve(P, S)
             times.append(time.perf_counter_ns() - t0)
         med = int(statistics.median(times))
         rows.append(BenchRow(size, n, m, med, med / prev if prev else 1.0))

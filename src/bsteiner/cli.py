@@ -109,7 +109,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
-    rows = bench(sizes, seed=args.seed, reps=args.reps, yao_impl=args.yao)
+    rows = bench(sizes, seed=args.seed, reps=args.reps)
     print(bench_csv(rows))
     return 0
 
@@ -167,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma-separated ascending sizes")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--yao", choices=("fast", "brute"), default="fast")
     p.set_defaults(fn=_cmd_bench)
 
     return parser

@@ -13,15 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .emst import EmstResult, UnionFind
+from .emst import EmstResult, sparse_graph
 from .yao import YaoGraph
-
-# Below this size a plain union-find beats the sparse-graph machinery;
-# threshold sweeps over small instances hammer this path.
-_SMALL_M = 256
 
 MAX_CANDIDATES = 6
 
@@ -56,21 +51,7 @@ def forest_components(emst: EmstResult, threshold: float) -> ComponentLabeling:
         raise ValueError("threshold must be positive")
     m = emst.point_count
     t = int(np.searchsorted(emst.edge_w, threshold, side="left"))
-    u = emst.edge_u[:t]
-    v = emst.edge_v[:t]
-    if m <= _SMALL_M:
-        uf = UnionFind(m)
-        for a, b in zip(u.tolist(), v.tolist()):
-            uf.union(a, b)
-        label = np.empty(m, dtype=np.int64)
-        ids: dict[int, int] = {}
-        for i in range(m):
-            r = uf.find(i)
-            if r not in ids:
-                ids[r] = len(ids)
-            label[i] = ids[r]
-        return ComponentLabeling(threshold, label, len(ids))
-    g = csr_matrix((np.ones(len(u), dtype=np.int8), (u, v)), shape=(m, m))
+    g = sparse_graph(m, emst.edge_u[:t], emst.edge_v[:t])
     ncomp, label = connected_components(g, directed=False)
     return ComponentLabeling(threshold, label.astype(np.int64), int(ncomp))
 

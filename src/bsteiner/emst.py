@@ -1,10 +1,11 @@
 """Euclidean minimum spanning tree of the Steiner candidate set.
 
-The production path triangulates the points and runs Kruskal over the
-triangulation edges (the EMST is always a subgraph of the Delaunay
-triangulation).  Exactly collinear or otherwise degenerate inputs fall
-back to provably sufficient candidate sets.  A dense Prim implementation
-serves as the independent reference.
+The production path triangulates the points and takes scipy's minimum
+spanning tree over the triangulation edges (the EMST is always a
+subgraph of the Delaunay triangulation), with the edges ranked by
+(weight, u, v) so that ties resolve deterministically.  Exactly collinear
+or otherwise degenerate inputs fall back to provably sufficient candidate
+sets.  A dense Prim implementation serves as the independent reference.
 """
 
 from __future__ import annotations
@@ -12,36 +13,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial import Delaunay, QhullError
 
 from .geometry import as_points, pair_squared_distances
 
 
-class UnionFind:
-    """Array-backed disjoint sets with path halving and union by size."""
+def sparse_graph(
+    m: int, u: np.ndarray, v: np.ndarray, weight: np.ndarray | None = None
+) -> csr_matrix:
+    """Graph on m vertices with one stored entry per edge (u[i], v[i]).
 
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
+    Entries are float64, the dtype csgraph routines work in, so they use
+    the matrix without converting it; unweighted edges store 1.0.
+    """
+    order = np.argsort(u)
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(u, minlength=m), out=indptr[1:])
+    data = np.ones(len(u)) if weight is None else weight[order]
+    return csr_matrix((data, v[order], indptr), shape=(m, m))
 
 
 @dataclass(frozen=True)
@@ -72,20 +63,19 @@ def _empty_result(m: int) -> EmstResult:
 
 
 def _kruskal(m: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> EmstResult | None:
-    """Minimum spanning tree over candidate edges; None if they do not connect."""
+    """Minimum spanning tree over candidate edges; None if they do not connect.
+
+    Edge weights are replaced by their ranks 1..E in (w, u, v) order (a
+    stored 0 would read as no edge).  Distinct ranks make the spanning tree
+    unique: exactly the tree a Kruskal scan in (w, u, v) order takes.
+    """
     order = np.lexsort((v, u, w))
     u, v, w = u[order], v[order], w[order]
-    uf = UnionFind(m)
-    keep = np.zeros(len(u), dtype=bool)
-    taken = 0
-    for i, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
-        if uf.union(a, b):
-            keep[i] = True
-            taken += 1
-            if taken == m - 1:
-                break
-    if taken != m - 1:
+    rank = np.arange(1, len(u) + 1, dtype=np.float64)
+    tree = minimum_spanning_tree(sparse_graph(m, u, v, rank), overwrite=True)
+    if tree.nnz != m - 1:
         return None
+    keep = np.sort(tree.data).astype(np.int64) - 1
     eu, ev, ew = u[keep], v[keep], w[keep]
     return EmstResult(m, eu, ev, ew, np.unique(ew))
 

@@ -19,7 +19,7 @@ from .solver import FullSteinerTree
 
 
 class _DisjointSets:
-    """Minimal union-find; deliberately separate from the solver's."""
+    """Minimal union-find; deliberately independent of the solver's csgraph code."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))

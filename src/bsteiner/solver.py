@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .decision import (
     ComponentLabeling,
@@ -20,9 +21,9 @@ from .decision import (
     candidate_components,
     forest_components,
 )
-from .emst import UnionFind, euclidean_mst
+from .emst import euclidean_mst, sparse_graph
 from .geometry import as_points, check_disjoint, pair_squared_distances
-from .yao import yao_bipartite, yao_bruteforce
+from .yao import yao_bipartite
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class SolveReport:
     timings: dict
 
 
-def preprocess(P, S, yao_impl: str = "fast") -> SolverContext:
+def preprocess(P, S) -> SolverContext:
     """Validate an instance and build the shared context for decision calls."""
     P = as_points(P, "P")
     S = as_points(S, "S")
@@ -61,13 +62,7 @@ def preprocess(P, S, yao_impl: str = "fast") -> SolverContext:
     if len(S) == 0:
         raise ValueError("S must be non-empty")
     check_disjoint(P, S)
-    if yao_impl == "fast":
-        yao = yao_bipartite(P, S)
-    elif yao_impl == "brute":
-        yao = yao_bruteforce(P, S)
-    else:
-        raise ValueError(f"unknown yao_impl: {yao_impl!r}")
-    return SolverContext(P, S, euclidean_mst(S), yao)
+    return SolverContext(P, S, euclidean_mst(S), yao_bipartite(P, S))
 
 
 def threshold_value(emst, index: int) -> float:
@@ -156,7 +151,7 @@ def bottleneck(tree: FullSteinerTree) -> float:
     return float(ext_w.max())
 
 
-def solve(P, S, yao_impl: str = "fast") -> SolveReport:
+def solve(P, S) -> SolveReport:
     """Compute an optimal bottleneck full Steiner tree.
 
     Returns the tree together with the squared optimum, the index found by
@@ -165,7 +160,7 @@ def solve(P, S, yao_impl: str = "fast") -> SolveReport:
     aside).
     """
     t0 = time.perf_counter_ns()
-    ctx = preprocess(P, S, yao_impl)
+    ctx = preprocess(P, S)
     t1 = time.perf_counter_ns()
     ell = binary_search_threshold(ctx)
     lam = threshold_value(ctx.emst, ell)
@@ -209,25 +204,25 @@ def validate_full_steiner_tree(tree: FullSteinerTree) -> None:
         raise ValueError("component vertex out of range")
     if np.any(np.diff(comp) <= 0):
         raise ValueError("component_vertices must be sorted and unique")
-    members = set(comp.tolist())
 
     skel = tree.skeleton_edges
     if len(skel) != len(comp) - 1:
         raise ValueError("skeleton edge count must be |S'| - 1")
-    uf = UnionFind(m)
-    for a, b in skel.tolist():
-        if a not in members or b not in members:
-            raise ValueError("skeleton edge leaves the component")
-        if a == b or not uf.union(a, b):
-            raise ValueError("skeleton contains a cycle")
-    roots = {uf.find(c) for c in comp.tolist()}
-    if len(roots) != 1:
+    if not np.isin(skel, comp).all():
+        raise ValueError("skeleton edge leaves the component")
+    # |S'| - 1 edges connect S' only when they form a spanning tree of it:
+    # a cycle or a self-loop would leave some vertex unreached
+    local = np.searchsorted(comp, skel)
+    ncomp, _ = connected_components(
+        sparse_graph(len(comp), local[:, 0], local[:, 1]), directed=False
+    )
+    if ncomp != 1:
         raise ValueError("skeleton does not connect the component")
 
     ext = tree.external_edges
     if len(ext) != n:
         raise ValueError("one external edge per terminal required")
-    if not set(ext.tolist()) <= members:
+    if not np.isin(ext, comp).all():
         raise ValueError("external edge leaves the component")
 
     if bottleneck(tree) != tree.bottleneck:

@@ -35,6 +35,9 @@ def test_labels_contiguous_and_refining():
     labelings = [forest_components(emst, t) for t in thresholds]
     for lab in labelings:
         assert set(lab.label.tolist()) == set(range(lab.component_count))
+        # ids follow first occurrence, the order chosen_component reports
+        _, first = np.unique(lab.label, return_index=True)
+        assert np.all(np.diff(first) > 0)
     for fine, coarse in zip(labelings, labelings[1:]):
         # same fine label -> same coarse label
         mapping = {}

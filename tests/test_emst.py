@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
-from bsteiner.emst import UnionFind, euclidean_mst, mst_prim_reference
+from bsteiner.emst import euclidean_mst, mst_prim_reference
 from bsteiner.geometry import squared_distance
 
 
@@ -70,16 +72,22 @@ def tree_adjacency(result, m):
     return adj
 
 
+def component_labels(m, edges):
+    """Component id per vertex of the graph on range(m) with these edges."""
+    u = [a for a, _, _ in edges]
+    v = [b for _, b, _ in edges]
+    g = coo_matrix((np.ones(len(u)), (u, v)), shape=(m, m))
+    return connected_components(g, directed=False)[1]
+
+
 def test_result_is_spanning_tree():
     rng = np.random.default_rng(11)
     S = rng.uniform(0, 10, (40, 2))
     r = euclidean_mst(S)
     assert len(r.edge_w) == 39
-    uf = UnionFind(40)
-    for u, v, _ in r.edges:
-        assert u != v
-        assert uf.union(u, v)  # acyclic
-    assert len({uf.find(i) for i in range(40)}) == 1  # connected
+    assert all(u != v for u, v, _ in r.edges)
+    # m - 1 edges that connect m vertices form a tree, so no cycle either
+    assert len(set(component_labels(40, r.edges).tolist())) == 1
     # weights actually measure the endpoints
     for u, v, w in r.edges:
         assert w == squared_distance(S[u], S[v])
@@ -95,11 +103,9 @@ def test_cut_property_exhaustive_small():
         S = rng.uniform(0, 10, (m, 2))
         r = euclidean_mst(S)
         for u, v, w in r.edges:
-            uf = UnionFind(m)
-            for a, b, _ in r.edges:
-                if (a, b) != (u, v):
-                    uf.union(a, b)
-            side = np.array([uf.find(i) == uf.find(u) for i in range(m)])
+            label = component_labels(m, [e for e in r.edges if e[:2] != (u, v)])
+            side = label == label[u]
+            assert not side[v]  # removing a tree edge splits the tree
             for i in np.flatnonzero(side):
                 for j in np.flatnonzero(~side):
                     assert squared_distance(S[i], S[j]) >= w

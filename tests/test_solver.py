@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from bsteiner.decision import compare_to_optimal, forest_components
+from bsteiner.decision import SolverContext, compare_to_optimal, forest_components
+from bsteiner.emst import euclidean_mst
 from bsteiner.generators import (
     gen_maxgap_instance,
     gen_membership_instance,
@@ -12,6 +14,7 @@ from bsteiner.generators import (
 from bsteiner.geometry import squared_distance_matrix
 from bsteiner.oracle import brute_force_optimum
 from bsteiner.solver import (
+    FullSteinerTree,
     binary_search_threshold,
     bottleneck,
     build_tree_for_component,
@@ -20,6 +23,7 @@ from bsteiner.solver import (
     threshold_value,
     validate_full_steiner_tree,
 )
+from bsteiner.yao import yao_bruteforce
 
 COLLINEAR_S = [(0, 0), (1, 0), (2, 0)]
 COLLINEAR_P = [(-1, 0), (3, 0)]
@@ -41,8 +45,6 @@ def test_preprocess_errors():
         preprocess([(0, 0)], [])
     with pytest.raises(ValueError, match="disjoint"):
         preprocess([(0, 0)], [(0, 0)])
-    with pytest.raises(ValueError, match="yao_impl"):
-        preprocess([(1, 0)], [(0, 0)], yao_impl="nope")
 
 
 def test_binary_search_single_candidate():
@@ -197,7 +199,17 @@ def test_brute_yao_variant_agrees():
             int(rng.integers(1, 25)), int(rng.integers(1, 25)), 60.0,
             seed=int(rng.integers(1 << 31)),
         )
-        assert solve(P, S).lambda_star == solve(P, S, yao_impl="brute").lambda_star
+        ctx = SolverContext(P, S, euclidean_mst(S), yao_bruteforce(P, S))
+        ell = binary_search_threshold(ctx)
+        lam = threshold_value(ctx.emst, ell)
+        lab = forest_components(ctx.emst, lam)
+        lam_star = min(
+            build_tree_for_component(ctx, lab, j, lam).bottleneck
+            for j in compare_to_optimal(ctx, lam)
+        )
+        r = solve(P, S)
+        assert ell == r.threshold_index
+        assert lam_star == r.lambda_star
 
 
 def test_timings_present():
@@ -222,3 +234,38 @@ def test_duplicate_candidates_spawn_zero_thresholds():
         lam, _ = brute_force_optimum(P, S)
         assert r.lambda_star == lam
         validate_full_steiner_tree(r.tree)
+
+
+def test_validate_rejects_broken_trees():
+    # unit square of candidates, one terminal hanging off candidate 0
+    P = np.array([[-1.0, 0.0]])
+    S = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    good = FullSteinerTree(
+        P, S, np.array([0, 1, 2]), np.array([[0, 1], [1, 2]]), np.array([0]), 1.0
+    )
+    validate_full_steiner_tree(good)
+    square = np.array([0, 1, 2, 3])
+    broken = {
+        "cycle with |S'| - 1 edges": dict(
+            component_vertices=square, skeleton_edges=np.array([[0, 1], [1, 2], [0, 2]])
+        ),
+        "disconnected skeleton": dict(
+            component_vertices=square, skeleton_edges=np.array([[0, 1], [1, 0], [2, 3]])
+        ),
+        "self-loop": dict(skeleton_edges=np.array([[0, 0], [1, 2]])),
+        "skeleton edge outside": dict(skeleton_edges=np.array([[0, 1], [1, 3]])),
+        "wrong edge count": dict(skeleton_edges=np.array([[0, 1]])),
+        "external edge outside": dict(external_edges=np.array([3])),
+        "one external edge per terminal": dict(external_edges=np.array([0, 1])),
+        "wrong bottleneck": dict(bottleneck=0.5),
+        "empty component": dict(
+            component_vertices=np.zeros(0, dtype=np.int64),
+            skeleton_edges=np.zeros((0, 2), dtype=np.int64),
+        ),
+        "component out of range": dict(component_vertices=np.array([0, 1, 4])),
+        "component unsorted": dict(component_vertices=np.array([1, 0, 2])),
+    }
+    for case, fields in broken.items():
+        with pytest.raises(ValueError):
+            validate_full_steiner_tree(dataclasses.replace(good, **fields))
+            pytest.fail(case)
