@@ -105,17 +105,11 @@ def _candidate_edges(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     upts = np.column_stack((uniq.real, uniq.imag))
 
-    if nu == 1:
-        return zu, zv
-    if nu == 2:
-        cu = np.array([min(rep[0], rep[1])], dtype=np.int64)
-        cv = np.array([max(rep[0], rep[1])], dtype=np.int64)
-        return np.concatenate((zu, cu)), np.concatenate((zv, cv))
-
     pairs = None
     if _exactly_collinear(upts):
         # uniq is lexicographically sorted, which orders collinear points
         # along their line; the MST is the chain of consecutive points.
+        # One or two distinct points are always collinear.
         pairs = np.column_stack((rep[:-1], rep[1:]))
     else:
         try:

@@ -14,19 +14,8 @@ import math
 
 import numpy as np
 
-from .geometry import as_points, check_disjoint
-from .solver import FullSteinerTree, SolveReport
-
-
-def _validate_instance(P, S) -> tuple[np.ndarray, np.ndarray]:
-    P = as_points(P, "P")
-    S = as_points(S, "S")
-    if len(P) == 0:
-        raise ValueError("P must be non-empty")
-    if len(S) == 0:
-        raise ValueError("S must be non-empty")
-    check_disjoint(P, S)
-    return P, S
+from .geometry import as_points
+from .solver import FullSteinerTree, SolveReport, validate_instance
 
 
 def _coords_from_json(doc, key: str) -> np.ndarray:
@@ -39,9 +28,13 @@ def _coords_from_json(doc, key: str) -> np.ndarray:
         if (
             not isinstance(row, list)
             or len(row) != 2
-            or not all(isinstance(c, (int, float)) for c in row)
+            or not all(type(c) in (int, float) for c in row)  # bool is not a number here
         ):
             raise ValueError(f"{key}[{i}]: expected a numeric [x, y] pair")
+        try:
+            rows[i] = [float(c) for c in row]
+        except OverflowError:
+            raise ValueError(f"{key}[{i}]: integer coordinate too large for a float") from None
     return np.asarray(rows, dtype=np.float64).reshape(-1, 2)
 
 
@@ -64,7 +57,7 @@ def parse_instance(text: str, *, force_text: bool = False) -> tuple[np.ndarray, 
             raise ValueError("instance document must be a JSON object")
         P = _coords_from_json(doc, "P")
         S = _coords_from_json(doc, "S")
-        return _validate_instance(P, S)
+        return validate_instance(P, S)
 
     lines = text.splitlines()
     rows: list[tuple[int, list[float]]] = []
@@ -89,7 +82,7 @@ def parse_instance(text: str, *, force_text: bool = False) -> tuple[np.ndarray, 
         if len(row) != 2:
             raise ValueError(f"line {ln}: expected two coordinates")
     pts = np.asarray([row for _, row in body], dtype=np.float64).reshape(-1, 2)
-    return _validate_instance(pts[:n], pts[n:])
+    return validate_instance(pts[:n], pts[n:])
 
 
 def solution_document(report: SolveReport) -> dict:

@@ -13,18 +13,28 @@ NUM_CONES = 6
 CONE_ANGLE = np.pi / 3.0
 TWO_PI = 2.0 * np.pi
 
+# Coordinate domain: 0 or MIN_ABS <= |c| <= MAX_ABS.  Squared distances and
+# cross products then stay below 2**1003, and distinct coordinates differ by
+# at least 2**-452, so no squared difference overflows or goes subnormal.
+MIN_ABS = 2.0**-400
+MAX_ABS = 2.0**500
+
 
 def as_points(obj, name: str = "points") -> np.ndarray:
-    """Coerce `obj` to a (k, 2) float64 array, rejecting non-finite coordinates."""
+    """Coerce `obj` to a (k, 2) float64 array whose coordinates are each 0 or
+    of magnitude in [MIN_ABS, MAX_ABS]; ValueError names the first bad row."""
     pts = np.asarray(obj, dtype=np.float64)
     if pts.size == 0:
         return pts.reshape(0, 2)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"{name} must be a sequence of (x, y) pairs")
-    finite = np.isfinite(pts).all(axis=1)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
-        raise ValueError(f"{name}[{bad}]: coordinate is not finite")
+    mag = np.abs(pts)
+    ok = (((mag >= MIN_ABS) & (mag <= MAX_ABS)) | (mag == 0.0)).all(axis=1)
+    if not ok.all():
+        bad = int(np.flatnonzero(~ok)[0])
+        finite = np.isfinite(pts[bad]).all()
+        what = "magnitude outside [2**-400, 2**500]" if finite else "is not finite"
+        raise ValueError(f"{name}[{bad}]: coordinate {what}")
     return pts
 
 

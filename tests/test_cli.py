@@ -107,3 +107,14 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["solve", "--input", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "disjoint" in err
+    # coordinates the float arithmetic cannot hold are rejected up front
+    cases = {
+        '{"P":[[1e160,0]],"S":[[0,1e160],[-1e160,5e159]]}': "P[0]",
+        '{"P":[[0,1],[2,0]],"S":[[0,0],[1e-170,3e-170]]}': "S[1]",
+        '{"P":[[1,0]],"S":[[0,1],[1' + "0" * 400 + ',0]]}': "S[1]",
+        '{"P":[[1,0],[true,0]],"S":[[0,1]]}': "P[1]",
+    }
+    for text, where in cases.items():
+        bad.write_text(text)
+        assert main(["solve", "--input", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {where}:")

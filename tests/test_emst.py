@@ -140,3 +140,12 @@ def test_deterministic_tie_break():
     # four corners: three unit edges chosen lexicographically
     r = euclidean_mst([(0, 0), (1, 0), (1, 1), (0, 1)])
     assert [(u, v) for u, v, _ in r.edges] == [(0, 1), (0, 3), (1, 2)]
+
+
+def test_near_duplicates_match_prim():
+    # 40 pairs 1e-12 apart make Qhull drop a point; the triangulation of the
+    # points it keeps then misses an EMST edge, so only the dense fallback
+    # gives the exact tree
+    S = np.random.default_rng(3).uniform(0, 1, (200, 2))
+    S[100:140] = S[:40] + 1e-12
+    assert euclidean_mst(S).edges == mst_prim_reference(S).edges

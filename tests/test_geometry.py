@@ -142,6 +142,12 @@ def test_as_points_validation():
     with pytest.raises(ValueError, match="pairs"):
         as_points([[1, 2, 3]], "P")
     assert as_points([]).shape == (0, 2)
+    # the coordinate domain: 0, or 2**-400 <= |c| <= 2**500
+    edges = [[2.0**500, -(2.0**500)], [2.0**-400, -(2.0**-400)], [0.0, -0.0]]
+    assert as_points(edges, "S").tolist() == edges
+    for bad in (2.0**501, -(2.0**501), 2.0**-401, -(2.0**-401), 5e-324):
+        with pytest.raises(ValueError, match=r"S\[1\]: coordinate magnitude"):
+            as_points([[1.0, 1.0], [1.0, bad]], "S")
 
 
 def test_check_disjoint():

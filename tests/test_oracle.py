@@ -110,3 +110,10 @@ def test_empty_inputs_rejected():
         feasible([], [(0, 0)], 1.0)
     with pytest.raises(ValueError):
         brute_force_optimum([(0, 0)], [])
+
+
+def test_overlapping_inputs_rejected():
+    with pytest.raises(ValueError, match="disjoint"):
+        feasible([(1, 1)], [(0, 0), (1, 1)], 4.0)
+    with pytest.raises(ValueError, match="disjoint"):
+        brute_force_optimum([(0, 0), (2, 0)], [(2, 0)])

@@ -115,6 +115,24 @@ def test_solve_examples():
     assert math.sqrt(r.lambda_star) == 4.0  # the largest value gap
 
 
+def test_domain_edges_match_oracle():
+    # |c| up to 2**500, and nonzero |c| down to 2**-400 beside exact zeros:
+    # no squared length overflows or goes subnormal, so solve stays exact
+    rng = np.random.default_rng(1500)
+    for _ in range(10):
+        big = rng.integers(-8, 9, (30, 2)) * 2.0**497
+        mant = 1 + rng.integers(0, 16, (30, 2)) * 2.0**-52
+        tiny = rng.integers(-1, 2, (30, 2)) * (2.0**-400 * mant)
+        for pts in (big, tiny):
+            pts = rng.permutation(np.unique(pts, axis=0))
+            n = len(pts) // 2
+            with np.errstate(all="raise"):
+                r = solve(pts[:n], pts[n:])
+                lam, _ = brute_force_optimum(pts[:n], pts[n:])
+            assert r.lambda_star == lam > 0
+            validate_full_steiner_tree(r.tree)
+
+
 def test_bottleneck_recompute():
     rng = np.random.default_rng(700)
     for _ in range(20):

@@ -3,6 +3,7 @@ import pytest
 
 from bsteiner.generators import gen_maxgap_instance, gen_random_instance
 from bsteiner.geometry import cone_indices, squared_distance_matrix
+from bsteiner.solver import validate_instance
 from bsteiner.yao import same_edges, yao_bipartite, yao_bruteforce
 
 
@@ -24,10 +25,12 @@ def test_two_cones_split():
 
 
 def test_overlap_rejected():
-    with pytest.raises(ValueError, match="disjoint"):
-        yao_bruteforce([(0, 0), (1, 1)], [(2, 2), (0, 0)])
-    with pytest.raises(ValueError, match="disjoint"):
-        yao_bipartite([(0, 0)], [(0, 0)])
+    # validate_instance guards the pair; the constructions trust their
+    # caller and still agree with each other on an overlapping pair
+    for P, S in (([(0, 0), (1, 1)], [(2, 2), (0, 0)]), ([(0, 0)], [(0, 0)])):
+        with pytest.raises(ValueError, match="disjoint"):
+            validate_instance(P, S)
+        assert same_edges(yao_bruteforce(P, S), yao_bipartite(P, S))
 
 
 def test_distance_ties_break_by_candidate_index():
