@@ -3,9 +3,11 @@
 The production path triangulates the points and takes scipy's minimum
 spanning tree over the triangulation edges (the EMST is always a
 subgraph of the Delaunay triangulation), with the edges ranked by
-(weight, u, v) so that ties resolve deterministically.  Exactly collinear
-or otherwise degenerate inputs fall back to provably sufficient candidate
-sets.  A dense Prim implementation serves as the independent reference.
+(weight, u, v) so that ties resolve deterministically.  Point sets that
+Qhull cannot triangulate whole (collinear sets, near-duplicates it drops
+as coplanar) take the six-cone Yao graph instead, which also contains
+the EMST and has at most 6m edges.  A dense Prim implementation serves
+as the independent reference.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial import Delaunay, QhullError
 
 from .geometry import as_points, pair_squared_distances
+from .yao import yao_bipartite
 
 
 def sparse_graph(
@@ -62,8 +65,8 @@ def _empty_result(m: int) -> EmstResult:
     return EmstResult(m, z, z.copy(), np.zeros(0), np.zeros(0))
 
 
-def _kruskal(m: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> EmstResult | None:
-    """Minimum spanning tree over candidate edges; None if they do not connect.
+def _kruskal(m: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> EmstResult:
+    """Minimum spanning tree over candidate edges that connect all m points.
 
     Edge weights are replaced by their ranks 1..E in (w, u, v) order (a
     stored 0 would read as no edge).  Distinct ranks make the spanning tree
@@ -73,30 +76,29 @@ def _kruskal(m: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> EmstResult 
     u, v, w = u[order], v[order], w[order]
     rank = np.arange(1, len(u) + 1, dtype=np.float64)
     tree = minimum_spanning_tree(sparse_graph(m, u, v, rank), overwrite=True)
-    if tree.nnz != m - 1:
-        return None
     keep = np.sort(tree.data).astype(np.int64) - 1
     eu, ev, ew = u[keep], v[keep], w[keep]
     return EmstResult(m, eu, ev, ew, np.unique(ew))
 
 
-def _exactly_collinear(pts: np.ndarray) -> bool:
-    base = pts[0]
-    d = pts[-1] - base
-    cross = d[0] * (pts[:, 1] - base[1]) - d[1] * (pts[:, 0] - base[0])
-    return bool((cross == 0.0).all())
-
-
 def _candidate_edges(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate (u, v) pairs guaranteed to contain a minimum spanning tree."""
+    """Candidate (u, v) pairs guaranteed to contain the (w, u, v) spanning tree.
+
+    Duplicate coordinates attach to their representative, the smallest
+    original index at that coordinate, through zero-length edges.  The
+    distinct points U are joined by their Delaunay edges when Qhull
+    triangulates every one of them, and otherwise (fewer than three
+    points, collinear sets, or a point Qhull reports as coplanar) by the
+    six-cone Yao graph of U, which contains the EMST (Yao 1982).  U is
+    ordered by representative index, so the Yao graph breaks distance
+    ties in the same order as (w, u, v).
+    """
     m = len(S)
     norm = S + 0.0  # fold -0.0 so duplicates compare equal bytewise
     key = norm[:, 0] + 1j * norm[:, 1]
     uniq, inverse = np.unique(key, return_inverse=True)
     nu = len(uniq)
 
-    # Smallest original index represents each distinct coordinate; the other
-    # occupants attach to it with zero-length edges.
     rep = np.full(nu, m, dtype=np.int64)
     np.minimum.at(rep, inverse, np.arange(m, dtype=np.int64))
     rep_of = rep[inverse]
@@ -105,26 +107,18 @@ def _candidate_edges(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     upts = np.column_stack((uniq.real, uniq.imag))
 
-    pairs = None
-    if _exactly_collinear(upts):
-        # uniq is lexicographically sorted, which orders collinear points
-        # along their line; the MST is the chain of consecutive points.
-        # One or two distinct points are always collinear.
-        pairs = np.column_stack((rep[:-1], rep[1:]))
+    try:
+        tri = Delaunay(upts)
+        whole = len(tri.coplanar) == 0
+    except QhullError:
+        whole = False
+    if whole:
+        sim = tri.simplices
+        pairs = rep[np.concatenate((sim[:, [0, 1]], sim[:, [1, 2]], sim[:, [2, 0]]), axis=0)]
     else:
-        try:
-            tri = Delaunay(upts)
-            if len(tri.coplanar) == 0:
-                sim = tri.simplices
-                e = np.concatenate(
-                    (sim[:, [0, 1]], sim[:, [1, 2]], sim[:, [2, 0]]), axis=0
-                )
-                pairs = rep[e]
-        except QhullError:
-            pairs = None
-    if pairs is None:
-        iu, iv = np.triu_indices(nu, 1)
-        pairs = np.column_stack((rep[iu], rep[iv]))
+        by_rep = np.argsort(rep)
+        yao = yao_bipartite(upts[by_rep], upts[by_rep])
+        pairs = rep[by_rep][np.column_stack((yao.p_idx, yao.s_idx))]
 
     cu = np.minimum(pairs[:, 0], pairs[:, 1])
     cv = np.maximum(pairs[:, 0], pairs[:, 1])
@@ -148,17 +142,7 @@ def euclidean_mst(S) -> EmstResult:
     if m == 1:
         return _empty_result(1)
     u, v = _candidate_edges(S)
-    w = pair_squared_distances(S[u], S[v])
-    result = _kruskal(m, u, v, w)
-    if result is None:
-        # Degenerate triangulation left the candidates disconnected; the
-        # dense graph always works.
-        iu, iv = np.triu_indices(m, 1)
-        iu = iu.astype(np.int64)
-        iv = iv.astype(np.int64)
-        result = _kruskal(m, iu, iv, pair_squared_distances(S[iu], S[iv]))
-        assert result is not None
-    return result
+    return _kruskal(m, u, v, pair_squared_distances(S[u], S[v]))
 
 
 def mst_prim_reference(S) -> EmstResult:

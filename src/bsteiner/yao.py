@@ -3,17 +3,19 @@
 Around every terminal the plane splits into six half-open 60-degree cones.
 Each cone that contains at least one candidate point contributes exactly one
 edge, to the Euclidean-nearest candidate inside the cone (ties broken by the
-smallest candidate index).  Terminals therefore carry between one and six
-edges, and the whole graph has at most 6n edges.
+smallest candidate index).  Terminals therefore carry at most six edges,
+and the whole graph has at most 6n edges.
 
 Two constructions share the same output contract: `yao_bruteforce` scans all
 candidate points per terminal, `yao_bipartite` accelerates the search with a
 k-d tree.  Both classify cones and measure distances through the shared
 routines in `geometry`, so their edge sets are identical bit for bit.
 
-Both trust their caller to pass non-empty, disjoint P and S (see
-`solver.validate_instance`); on an overlapping pair both return the same
-zero-length cone-0 edge.
+A candidate that coincides with the terminal lies in no cone, so an
+overlapping pair yields no edge.  The solver never meets one, because
+`solver.validate_instance` rejects P and S that share a point, but
+`emst` builds the graph of a point set with itself, `yao_bipartite(U, U)`,
+where every point is its own apex.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ def _graph_from_best(n: int, m: int, best_w: np.ndarray, best_s: np.ndarray) -> 
 def yao_bruteforce(P, S) -> YaoGraph:
     """Reference construction scanning every candidate per terminal, O(nm).
 
-    Precondition: P and S are non-empty and disjoint (not checked here).
+    Precondition: P and S are non-empty (not checked here).
     """
     P = as_points(P, "P")
     S = as_points(S, "S")
@@ -102,7 +104,7 @@ def yao_bruteforce(P, S) -> YaoGraph:
     best_s = np.full((n, NUM_CONES), m, dtype=np.int64)
     for i in range(n):
         d = squared_distances(S, P[i])
-        cones = cone_indices(P[i], S)
+        cones = np.where(d > 0, cone_indices(P[i], S), -1)
         for c in range(NUM_CONES):
             sel = np.flatnonzero(cones == c)
             if sel.size == 0:
@@ -208,7 +210,7 @@ def _cone_query(
             idx = perm[tree.lo[node] : tree.hi[node]]
             sub = pts[idx]
             w = squared_distances(sub, apex)
-            inside = cone_indices(apex, sub) == cone
+            inside = (cone_indices(apex, sub) == cone) & (w > 0)
             cand = (w < best_w) | ((w == best_w) & (idx < best_s))
             sel = np.flatnonzero(inside & cand)
             if sel.size:
@@ -231,18 +233,65 @@ def _cone_query(
     return best_w, best_s
 
 
+def _cross(ray: int, pts: np.ndarray) -> np.ndarray:
+    """cross(u, x) for every row x, u the unit ray at angle ray * 60 degrees."""
+    a = ray * CONE_ANGLE
+    return math.cos(a) * pts[:, 1] - math.sin(a) * pts[:, 0]
+
+
+def _empty_cones(P: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """(n, 6) mask of the cones that provably hold no candidate.
+
+    A candidate q classifies into cone c of p only if d = q - p lies
+    counterclockwise of the ray at c * 60 degrees, cross(u_c, d) >= -tol,
+    and clockwise of the ray at (c + 1) * 60 degrees, cross(u_c+1, d) <= tol.
+    `tol` is 1e-12 of the largest coordinate magnitude, far above the
+    rounding of the float classification.  Cones 2 and 5 use the exact
+    sign of d_y for their upper ray instead, so a set on a horizontal line
+    settles them too.  Each cone is then a two-sided dominance query,
+    answered for all terminals from one sort of S; a candidate on the apex
+    lies in no cone, so when it holds the prefix minimum the next one counts.
+    """
+    m = len(S)
+    tol = 1e-12 * max(np.abs(P).max(), np.abs(S).max())
+    empty = np.zeros((len(P), NUM_CONES), dtype=bool)
+    for c in range(NUM_CONES):
+        a = _cross(c, S)
+        order = np.argsort(-a)
+        if c in (2, 5):
+            sign = 1.0 if c == 5 else -1.0  # cone 2 needs d_y > 0, cone 5 d_y < 0
+            b, b_p, slack = sign * S[order, 1], sign * P[:, 1], 0.0
+        else:
+            b, b_p, slack = _cross(c + 1, S)[order], _cross(c + 1, P), tol
+        # prefix minimum of b, where it first occurs, and the minimum without that entry
+        low = np.minimum.accumulate(b)
+        record = np.r_[True, b[1:] < low[:-1]]
+        at = np.maximum.accumulate(np.where(record, np.arange(m), 0))
+        rest = np.minimum.accumulate(np.where(record, np.inf, b))
+        second = np.minimum(np.r_[np.inf, low][at], rest)
+        # candidates counterclockwise of ray c form the prefix of length k
+        k = np.searchsorted(-a[order], tol - _cross(c, P), side="right")
+        i = np.maximum(k - 1, 0)
+        on_apex = (S[order[at[i]]] == P).all(axis=1)
+        reach = np.where(on_apex, second[i], low[i])
+        empty[:, c] = (k == 0) | ~(reach < b_p + slack)
+    return empty
+
+
 def yao_bipartite(P, S, *, knn_start: int = 32, knn_cap: int = 512, leaf_size: int = 64) -> YaoGraph:
     """Accelerated construction, identical output to `yao_bruteforce`.
 
     Phase one answers most (terminal, cone) queries from batched k-nearest
     -neighbor rounds with growing k: a cone is settled once its best
     in-cone candidate lies strictly inside the k-th-neighbor ball (or once
-    k reaches the full candidate count).  Remaining queries, typically
-    terminals near the hull with empty or sparse cones, fall through to an
-    exact cone-pruned tree search with best-so-far pruning.
+    k reaches the full candidate count).  After the first round, the open
+    cones that provably hold no candidate are settled all at once
+    (`_empty_cones`).  Remaining queries, typically terminals near the hull
+    with sparse cones, fall through to an exact cone-pruned tree search
+    with best-so-far pruning.
 
     The keyword knobs only trade speed; any setting yields the same graph.
-    Precondition: P and S are non-empty and disjoint (not checked here).
+    Precondition: P and S are non-empty (not checked here).
     """
     P = as_points(P, "P")
     S = as_points(S, "S")
@@ -264,6 +313,7 @@ def yao_bipartite(P, S, *, knn_start: int = 32, knn_cap: int = 512, leaf_size: i
         dx = tgt[..., 0] - apex[:, None, 0]
         dy = tgt[..., 1] - apex[:, None, 1]
         w = (dx * dx + dy * dy).reshape(-1)
+        w[w == 0] = np.inf  # a point on the apex lies in no cone
         cone = cone_indices_from_deltas(dx, dy)
 
         # scatter-min per (row, cone): squared length first, index on ties
@@ -288,6 +338,10 @@ def yao_bipartite(P, S, *, knn_start: int = 32, knn_cap: int = 512, leaf_size: i
         if k == m:
             break
         active = active[~done[active].all(axis=1)]
+        if k == knn_start and active.size:
+            # cones still open after the first round are often empty
+            done[active] |= _empty_cones(P[active], S)
+            active = active[~done[active].all(axis=1)]
         if k >= knn_cap:
             break
         k = min(4 * k, m)

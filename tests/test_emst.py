@@ -3,6 +3,7 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from bsteiner import emst
 from bsteiner.emst import euclidean_mst, mst_prim_reference
 from bsteiner.geometry import squared_distance
 
@@ -49,6 +50,52 @@ def test_total_weight_matches_prim():
     assert abs(a.edge_w.sum() - b.edge_w.sum()) <= 1e-12 * b.edge_w.sum()
 
 
+def kruskal_all_pairs(S):
+    """Edges (u, v, w) of the spanning tree a Kruskal scan over all pairs in
+    (w, u, v) order takes; a plain union-find, independent of the package."""
+    pts = [(float(x), float(y)) for x, y in S]
+    pairs = []
+    for i, (xi, yi) in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            dx, dy = xi - pts[j][0], yi - pts[j][1]
+            pairs.append((dx * dx + dy * dy, i, j))
+    parent = list(range(len(pts)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    tree = []
+    for w, i, j in sorted(pairs):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            tree.append((i, j, w))
+    return tree
+
+
+# integer points on x^2 + y^2 = 65^2
+CIRCLE = np.array(
+    [(x, y) for x in range(-65, 66) for y in range(-65, 66) if x * x + y * y == 65 * 65],
+    dtype=float,
+)
+
+
+def degenerate_sets(rng):
+    """A lattice with duplicates, a cocircular set, and an integer-step collinear
+    set in a direction off both axes."""
+    m = int(rng.integers(2, 121))
+    k = int(rng.integers(1, 8))
+    yield rng.integers(-k, k + 1, (m, 2)).astype(float)
+    idx = rng.choice(len(CIRCLE), int(rng.integers(2, len(CIRCLE) + 1)), replace=False)
+    yield CIRCLE[idx] + rng.integers(-100, 101, 2)
+    step = rng.integers(1, 6, 2) * rng.choice([-1, 1], 2)
+    t = rng.choice(np.arange(-150, 150), m, replace=False)
+    yield (rng.integers(-50, 51, 2) + t[:, None] * step).astype(float)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_weight_multisets_match_prim(seed):
     rng = np.random.default_rng(100 + seed)
@@ -56,12 +103,17 @@ def test_weight_multisets_match_prim(seed):
         m = int(rng.integers(2, 201))
         S = rng.uniform(0, 50, (m, 2))
         if rng.random() < 0.2:
-            S[:, 1] = 0.0  # collinear fallback path
+            S[:, 1] = 0.0  # collinear: Qhull raises, the Yao graph serves
         if rng.random() < 0.2 and m > 4:
             S[m // 2 :] = S[: m - m // 2]  # duplicate coordinates
         a, b = euclidean_mst(S), mst_prim_reference(S)
         assert np.array_equal(a.edge_w, b.edge_w)
         assert np.array_equal(a.thresholds, b.thresholds)
+    for _ in range(3):
+        for S in degenerate_sets(rng):
+            a, b = euclidean_mst(S), mst_prim_reference(S)
+            assert np.array_equal(a.edge_w, b.edge_w)
+            assert a.edges == kruskal_all_pairs(S)
 
 
 def tree_adjacency(result, m):
@@ -143,9 +195,16 @@ def test_deterministic_tie_break():
 
 
 def test_near_duplicates_match_prim():
-    # 40 pairs 1e-12 apart make Qhull drop a point; the triangulation of the
-    # points it keeps then misses an EMST edge, so only the dense fallback
-    # gives the exact tree
-    S = np.random.default_rng(3).uniform(0, 1, (200, 2))
-    S[100:140] = S[:40] + 1e-12
-    assert euclidean_mst(S).edges == mst_prim_reference(S).edges
+    # Pairs 1e-12 or 1e-14 apart make Qhull drop a point, so the Yao graph of
+    # all points serves, with at most six edges per point.  In the lattice,
+    # equal distances share a cone, where the Yao graph must prefer the
+    # smaller index as (w, u, v) does (ordering the points in reverse
+    # changes that tree).
+    near = np.random.default_rng(3).uniform(0, 1, (200, 2))
+    near[100:140] = near[:40] + 1e-12
+    lattice = [(-1, 0), (-1, 3), (1, -3), (2, -2), (0, 2), (-2, -1)]
+    lattice = np.array(lattice + [(7, 7), (7 + 1e-14, 7), (-7, 7), (-7, 7 + 1e-14)])
+    assert euclidean_mst(near).edges == mst_prim_reference(near).edges
+    assert euclidean_mst(lattice).edges == kruskal_all_pairs(lattice)
+    for S in (near, lattice):
+        assert len(emst._candidate_edges(S)[0]) <= 6 * len(S)

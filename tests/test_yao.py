@@ -4,6 +4,7 @@ import pytest
 from bsteiner.generators import gen_maxgap_instance, gen_random_instance
 from bsteiner.geometry import cone_indices, squared_distance_matrix
 from bsteiner.solver import validate_instance
+from bsteiner import yao
 from bsteiner.yao import same_edges, yao_bipartite, yao_bruteforce
 
 
@@ -26,11 +27,37 @@ def test_two_cones_split():
 
 def test_overlap_rejected():
     # validate_instance guards the pair; the constructions trust their
-    # caller and still agree with each other on an overlapping pair
+    # caller, and a candidate on the apex lies in no cone of either
     for P, S in (([(0, 0), (1, 1)], [(2, 2), (0, 0)]), ([(0, 0)], [(0, 0)])):
         with pytest.raises(ValueError, match="disjoint"):
             validate_instance(P, S)
-        assert same_edges(yao_bruteforce(P, S), yao_bipartite(P, S))
+        g = yao_bruteforce(P, S)
+        assert (g.w > 0).all()
+        assert same_edges(g, yao_bipartite(P, S))
+    # a set against itself: every point is its own apex, duplicates coincide
+    rng = np.random.default_rng(302)
+    for _ in range(20):
+        m = int(rng.integers(1, 60))
+        k = int(rng.integers(1, 6))
+        for S in (rng.uniform(0, 10, (m, 2)), rng.integers(-k, k + 1, (m, 2)).astype(float)):
+            g = yao_bruteforce(S, S)
+            assert (g.w > 0).all()
+            assert same_edges(g, yao_bipartite(S, S))
+            assert same_edges(g, yao_bipartite(S, S, knn_start=2, knn_cap=4, leaf_size=3))
+
+
+def test_lines_prove_their_empty_cones():
+    # a point on a line sees other points in two cones at most; the other
+    # cones are proven empty up front, so none of them reaches the kNN
+    # growth or the tree search, which would make lines quadratic
+    t = np.arange(-50, 50.0)
+    for d in ((1, 0), (0, 1), (2, 3), (-5, 1)):
+        S = t[:, None] * np.array(d, dtype=float) + 0.5
+        g = yao_bruteforce(S, S)
+        has_edge = np.zeros((len(S), 6), dtype=bool)
+        has_edge[g.p_idx, g.cone] = True
+        assert (has_edge ^ yao._empty_cones(S, S)).all()
+        assert same_edges(g, yao_bipartite(S, S))
 
 
 def test_distance_ties_break_by_candidate_index():
