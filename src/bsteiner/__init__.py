@@ -7,75 +7,36 @@ ships an independent brute-force oracle, instance generators with known
 optima, serialization helpers, and a benchmark harness.
 """
 
-from .bench import BenchRow, bench, bench_csv
-from .decision import (
-    ComponentLabeling,
-    SolverContext,
-    candidate_components,
-    compare_to_optimal,
-    forest_components,
-)
-from .emst import EmstResult, euclidean_mst, mst_prim_reference
-from .formats import (
-    emit_solution,
-    parse_instance,
-    parse_solution,
-    render_svg,
-    solution_document,
-)
+from .bench import bench, bench_csv
+from .decision import compare_to_optimal, forest_components
+from .emst import euclidean_mst, mst_prim_reference
+from .formats import emit_solution, parse_instance, render_svg
 from .generators import (
-    MaxGapInstance,
-    MembershipInstance,
     gen_maxgap_instance,
     gen_membership_instance,
     gen_random_instance,
     verify_membership,
 )
-from .geometry import (
-    cone_index,
-    cone_indices,
-    max_gap,
-    squared_distance,
-    squared_distance_matrix,
-    squared_distances,
-)
-from .oracle import FeasibilityWitness, brute_force_optimum, feasible
+from .geometry import max_gap
+from .oracle import brute_force_optimum, feasible
 from .solver import (
-    FullSteinerTree,
     SolveReport,
-    binary_search_threshold,
     bottleneck,
-    build_tree_for_component,
     preprocess,
     solve,
-    threshold_value,
     validate_full_steiner_tree,
 )
-from .yao import YaoGraph, same_edges, yao_bipartite, yao_bruteforce
+from .yao import yao_bipartite, yao_bruteforce
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchRow",
-    "ComponentLabeling",
-    "EmstResult",
-    "FeasibilityWitness",
-    "FullSteinerTree",
-    "MaxGapInstance",
-    "MembershipInstance",
     "SolveReport",
-    "SolverContext",
-    "YaoGraph",
     "bench",
     "bench_csv",
-    "binary_search_threshold",
     "bottleneck",
     "brute_force_optimum",
-    "build_tree_for_component",
-    "candidate_components",
     "compare_to_optimal",
-    "cone_index",
-    "cone_indices",
     "emit_solution",
     "euclidean_mst",
     "feasible",
@@ -86,16 +47,9 @@ __all__ = [
     "max_gap",
     "mst_prim_reference",
     "parse_instance",
-    "parse_solution",
     "preprocess",
     "render_svg",
-    "same_edges",
-    "solution_document",
     "solve",
-    "squared_distance",
-    "squared_distance_matrix",
-    "squared_distances",
-    "threshold_value",
     "validate_full_steiner_tree",
     "verify_membership",
     "yao_bipartite",

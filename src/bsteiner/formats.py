@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .geometry import as_points
+from .geometry import as_points, pair_squared_distances
 from .solver import FullSteinerTree, SolveReport, validate_instance
 
 
@@ -153,18 +153,13 @@ def render_svg(P: np.ndarray, S: np.ndarray, tree: FullSteinerTree) -> str:
     r = 0.012 * scale
     stroke = 0.005 * scale
 
+    skel, ext = tree.skeleton_edges, tree.external_edges
+    skel_w = pair_squared_distances(S[skel[:, 0]], S[skel[:, 1]])
+    ext_w = pair_squared_distances(P, S[ext])
     edges = []  # (x1, y1, x2, y2, kind, weight)
-    for u, v in tree.skeleton_edges.tolist():
-        w = float(
-            (S[u, 0] - S[v, 0]) * (S[u, 0] - S[v, 0])
-            + (S[u, 1] - S[v, 1]) * (S[u, 1] - S[v, 1])
-        )
+    for (u, v), w in zip(skel.tolist(), skel_w.tolist()):
         edges.append((S[u, 0], -S[u, 1], S[v, 0], -S[v, 1], "skeleton", w))
-    for i, s in enumerate(tree.external_edges.tolist()):
-        w = float(
-            (P[i, 0] - S[s, 0]) * (P[i, 0] - S[s, 0])
-            + (P[i, 1] - S[s, 1]) * (P[i, 1] - S[s, 1])
-        )
+    for i, (s, w) in enumerate(zip(ext.tolist(), ext_w.tolist())):
         edges.append((P[i, 0], -P[i, 1], S[s, 0], -S[s, 1], "external", w))
     hot = max(range(len(edges)), key=lambda t: edges[t][5]) if edges else -1
 

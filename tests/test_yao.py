@@ -25,7 +25,27 @@ def test_two_cones_split():
     assert g.s_idx.tolist() == [0, 1]
 
 
-def test_overlap_rejected():
+def force_fallback(monkeypatch, knn_start, knn_cap, leaf_size):
+    """Shrink the speed constants of `yao_bipartite` and count its cone searches."""
+    monkeypatch.setattr(yao, "_KNN_START", knn_start)
+    monkeypatch.setattr(yao, "_KNN_CAP", knn_cap)
+    monkeypatch.setattr(yao, "_LEAF_SIZE", leaf_size)
+    return count_cone_queries(monkeypatch)
+
+
+def count_cone_queries(monkeypatch):
+    calls = []
+    cone_query = yao._cone_query
+
+    def counted(*args):
+        calls.append(args[2])
+        return cone_query(*args)
+
+    monkeypatch.setattr(yao, "_cone_query", counted)
+    return calls
+
+
+def test_overlap_rejected(monkeypatch):
     # validate_instance guards the pair; the constructions trust their
     # caller, and a candidate on the apex lies in no cone of either
     for P, S in (([(0, 0), (1, 1)], [(2, 2), (0, 0)]), ([(0, 0)], [(0, 0)])):
@@ -43,7 +63,9 @@ def test_overlap_rejected():
             g = yao_bruteforce(S, S)
             assert (g.w > 0).all()
             assert same_edges(g, yao_bipartite(S, S))
-            assert same_edges(g, yao_bipartite(S, S, knn_start=2, knn_cap=4, leaf_size=3))
+            with monkeypatch.context() as mp:
+                force_fallback(mp, 2, 4, 3)
+                assert same_edges(g, yao_bipartite(S, S))
 
 
 def test_lines_prove_their_empty_cones():
@@ -103,7 +125,7 @@ def test_bipartite_equals_bruteforce(seed):
     check_graph_invariants(a, P, S)
 
 
-def test_forced_tree_search_path_matches():
+def test_forced_tree_search_path_matches(monkeypatch):
     # tiny knn caps push every query through the cone-pruned tree search
     rng = np.random.default_rng(300)
     for _ in range(30):
@@ -111,12 +133,16 @@ def test_forced_tree_search_path_matches():
         m = int(rng.integers(1, 50))
         P, S = gen_random_instance(n, m, 100.0, seed=int(rng.integers(1 << 31)))
         a = yao_bruteforce(P, S)
-        assert same_edges(a, yao_bipartite(P, S, knn_start=2, knn_cap=2, leaf_size=2))
-        assert same_edges(a, yao_bipartite(P, S, knn_start=3, knn_cap=12, leaf_size=4))
+        for knobs in ((2, 2, 2), (3, 12, 4)):
+            with monkeypatch.context() as mp:
+                force_fallback(mp, *knobs)
+                assert same_edges(a, yao_bipartite(P, S))
 
 
-def test_tree_search_with_empty_cones():
-    # far-away clustered terminals leave most cones empty
+def test_tree_search_with_empty_cones(monkeypatch):
+    # far-away clustered terminals leave most cones empty; with k = 1 no
+    # kNN round settles a cone, so every cone not proven empty is searched
+    calls = force_fallback(monkeypatch, 1, 1, 3)
     rng = np.random.default_rng(301)
     for _ in range(20):
         n = int(rng.integers(1, 30))
@@ -124,7 +150,50 @@ def test_tree_search_with_empty_cones():
         S = rng.normal(0, 1, (m, 2)) + 100.0
         P = rng.normal(0, 1, (n, 2))
         a = yao_bruteforce(P, S)
-        assert same_edges(a, yao_bipartite(P, S, knn_start=2, knn_cap=4, leaf_size=3))
+        assert same_edges(a, yao_bipartite(P, S))
+    assert calls
+
+
+@pytest.mark.parametrize("kind", ["uniform", "lattice", "clustered"])
+def test_tree_search_on_larger_sets(monkeypatch, kind):
+    # small leaves make the search descend through many split planes; on
+    # lattices, candidates sit on the planes and tie in distance
+    rng = np.random.default_rng(303)
+    for m in (300, 800, 2000):
+        n = 60
+        if kind == "uniform":
+            S = rng.uniform(0, 100, (m, 2))
+            P = rng.uniform(-10, 110, (n, 2))
+        elif kind == "lattice":
+            S = rng.integers(-12, 13, (m, 2)).astype(float)
+            P = rng.integers(-15, 16, (n, 2)) + 0.5
+        else:
+            S = rng.normal(0, 1, (m, 2)) + rng.integers(-3, 4, (m, 2)) * 10.0
+            P = rng.normal(0, 20, (n, 2))
+        a = yao_bruteforce(P, S)
+        for knobs in ((2, 2, 2), (4, 16, 5)):
+            with monkeypatch.context() as mp:
+                calls = force_fallback(mp, *knobs)
+                assert same_edges(a, yao_bipartite(P, S))
+                assert calls
+        if m == 300:  # a set against itself: every candidate is some apex
+            b = yao_bruteforce(S, S)
+            with monkeypatch.context() as mp:
+                calls = force_fallback(mp, 2, 2, 3)
+                assert same_edges(b, yao_bipartite(S, S))
+                assert calls
+
+
+def test_sixty_degree_line_reaches_tree_search(monkeypatch):
+    # rounding puts each neighbor on a 60-degree line into one of the two
+    # cones sharing that ray, so the other cone is neither found by the
+    # kNN rounds nor provably empty, and the search runs along the line
+    calls = count_cone_queries(monkeypatch)
+    m = 1024
+    t = np.random.default_rng(304).permutation(m).astype(float)
+    S = t[:, None] * np.array([np.cos(np.pi / 3), np.sin(np.pi / 3)]) * 1.7
+    assert same_edges(yao_bruteforce(S, S), yao_bipartite(S, S))
+    assert calls
 
 
 def test_maxgap_instance_extremes():
