@@ -11,7 +11,7 @@ from bsteiner import gen_random_instance, render_svg, solve
 
 P, S = gen_random_instance(n=10, m=25, extent=100.0, seed=12)
 report = solve(P, S)
-svg = render_svg(P, S, report.tree)
+svg = render_svg(report.tree)
 
 out = Path("solution.svg")
 out.write_text(svg)

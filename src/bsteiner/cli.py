@@ -1,15 +1,16 @@
 """Command-line interface: solve / decide / oracle / gen / bench.
 
-Exit codes: 0 on success, 2 on input validation errors, 1 on anything
-unexpected.  Thresholds on the command line are plain lengths; the
-library's internal squared representation never leaks out.
+Every document is read and written by `formats`.  An instance is parsed
+there and validated once, by the computation the command runs (`solve`,
+`preprocess` or `brute_force_optimum`).  Exit codes: 0 on success, 2 on
+input validation errors, 1 on anything unexpected.  Thresholds on the
+command line are plain lengths; the library's internal squared
+representation never leaks out.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 from pathlib import Path
 
@@ -17,34 +18,31 @@ import numpy as np
 
 from .bench import bench, bench_csv
 from .decision import compare_to_optimal
-from .formats import emit_solution, parse_instance, render_svg
+from .formats import emit_instance, emit_solution, emit_tree, parse_instance, render_svg
 from .generators import gen_maxgap_instance, gen_membership_instance, gen_random_instance
 from .oracle import brute_force_optimum
 from .solver import preprocess, solve
 
 
 def _read_instance(args) -> tuple[np.ndarray, np.ndarray]:
-    text = Path(args.input).read_text()
-    return parse_instance(text, force_text=getattr(args, "text", False))
+    return parse_instance(Path(args.input).read_text())
 
 
 def _cmd_solve(args) -> int:
-    P, S = _read_instance(args)
-    report = solve(P, S)
+    report = solve(*_read_instance(args))
     payload = emit_solution(report)
     print(payload)
     if args.json:
         Path(args.json).write_text(payload + "\n")
     if args.svg:
-        Path(args.svg).write_text(render_svg(P, S, report.tree))
+        Path(args.svg).write_text(render_svg(report.tree))
     return 0
 
 
 def _cmd_decide(args) -> int:
-    P, S = _read_instance(args)
+    ctx = preprocess(*_read_instance(args))
     if not args.lam > 0:
         raise ValueError("threshold must be positive")
-    ctx = preprocess(P, S)
     J = compare_to_optimal(ctx, args.lam * args.lam)
     print(f"J = {sorted(J)}")
     print("lambda* < lambda" if J else "lambda* >= lambda")
@@ -52,21 +50,9 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    P, S = _read_instance(args)
-    lam, tree = brute_force_optimum(P, S)
-    doc = {
-        "bottleneck": math.sqrt(lam),
-        "component_vertices": tree.component_vertices.tolist(),
-        "skeleton_edges": [sorted(e) for e in tree.skeleton_edges.tolist()],
-        "external_edges": [[i, int(s)] for i, s in enumerate(tree.external_edges.tolist())],
-    }
-    print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    _, tree = brute_force_optimum(*_read_instance(args))
+    print(emit_tree(tree))
     return 0
-
-
-def _instance_json(P, S, metadata: dict) -> str:
-    doc = {"P": P.tolist(), "S": S.tolist(), "metadata": metadata}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def _cmd_gen(args) -> int:
@@ -77,7 +63,7 @@ def _cmd_gen(args) -> int:
             rng = np.random.default_rng(args.seed)
             values = rng.uniform(0.0, 100.0, args.m)
         inst = gen_maxgap_instance(values, args.n, seed=args.seed)
-        payload = _instance_json(
+        payload = emit_instance(
             inst.P, inst.S,
             {"name": "maxgap", "seed": args.seed, "expected_bottleneck": inst.expected},
         )
@@ -93,13 +79,13 @@ def _cmd_gen(args) -> int:
             x, y = coords.split(",")
             perturb = (int(j), (float(x), float(y)))
         inst = gen_membership_instance(f, args.m, perturb=perturb)
-        payload = _instance_json(
+        payload = emit_instance(
             inst.P, inst.S,
             {"name": "membership", "seed": args.seed, "f": list(f)},
         )
     else:
         P, S = gen_random_instance(args.n, args.m, args.extent, args.seed)
-        payload = _instance_json(P, S, {"name": "random", "seed": args.seed})
+        payload = emit_instance(P, S, {"name": "random", "seed": args.seed})
     if args.out:
         Path(args.out).write_text(payload + "\n")
     else:
@@ -123,21 +109,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("--input", required=True)
-    p.add_argument("--text", action="store_true", help="force the whitespace format")
     p.add_argument("--svg", help="write an SVG rendering here")
     p.add_argument("--json", help="also write the solution JSON here")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("decide", help="compare the optimum against a threshold")
     p.add_argument("--input", required=True)
-    p.add_argument("--text", action="store_true")
     p.add_argument("--lambda", dest="lam", type=float, required=True,
                    help="threshold as a length")
     p.set_defaults(fn=_cmd_decide)
 
     p = sub.add_parser("oracle", help="brute-force optimum for small instances")
     p.add_argument("--input", required=True)
-    p.add_argument("--text", action="store_true")
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("gen", help="generate an instance file")

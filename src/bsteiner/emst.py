@@ -19,7 +19,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial import Delaunay, QhullError
 
-from .geometry import as_points, pair_squared_distances
+from .geometry import as_points, pair_squared_distances, points_as_complex
 from .yao import yao_bipartite
 
 
@@ -60,11 +60,6 @@ class EmstResult:
         )
 
 
-def _empty_result(m: int) -> EmstResult:
-    z = np.zeros(0, dtype=np.int64)
-    return EmstResult(m, z, z.copy(), np.zeros(0), np.zeros(0))
-
-
 def _kruskal(m: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> EmstResult:
     """Minimum spanning tree over candidate edges that connect all m points.
 
@@ -94,9 +89,7 @@ def _candidate_edges(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ties in the same order as (w, u, v).
     """
     m = len(S)
-    norm = S + 0.0  # fold -0.0 so duplicates compare equal bytewise
-    key = norm[:, 0] + 1j * norm[:, 1]
-    uniq, inverse = np.unique(key, return_inverse=True)
+    uniq, inverse = np.unique(points_as_complex(S), return_inverse=True)
     nu = len(uniq)
 
     rep = np.full(nu, m, dtype=np.int64)
@@ -139,8 +132,6 @@ def euclidean_mst(S) -> EmstResult:
     m = len(S)
     if m == 0:
         raise ValueError("S must be non-empty")
-    if m == 1:
-        return _empty_result(1)
     u, v = _candidate_edges(S)
     return _kruskal(m, u, v, pair_squared_distances(S[u], S[v]))
 
@@ -151,8 +142,6 @@ def mst_prim_reference(S) -> EmstResult:
     m = len(S)
     if m == 0:
         raise ValueError("S must be non-empty")
-    if m == 1:
-        return _empty_result(1)
     in_tree = np.zeros(m, dtype=bool)
     in_tree[0] = True
     best_w = pair_squared_distances(S, np.broadcast_to(S[0], (m, 2)))

@@ -1,10 +1,14 @@
-"""Instance parsing, solution serialization, and SVG rendering.
+"""Instance and solution documents, and SVG rendering.
 
 Instances travel as JSON ({"P": [[x, y], ...], "S": [...]} plus optional
 metadata) or as a terse whitespace format for hand-written fixtures:
 a header line "n m", then n terminal lines and m candidate lines, each
-"x y".  Solutions serialize to canonical JSON (sorted keys, compact
-separators, edges in ascending index order) that parses back losslessly.
+"x y".  A whitespace document never starts with '{', so the first
+non-blank character tells the two apart.  Parsing checks only the document's own
+shape; the instance contract (`solver.validate_instance`) is checked
+once, by the computation the instance is handed to.  Solutions and
+trees serialize to canonical JSON (sorted keys, compact separators,
+edges in ascending index order) that parses back losslessly.
 """
 
 from __future__ import annotations
@@ -14,8 +18,12 @@ import math
 
 import numpy as np
 
-from .geometry import as_points, pair_squared_distances
-from .solver import FullSteinerTree, SolveReport, validate_instance
+from .geometry import pair_squared_distances
+from .solver import FullSteinerTree, SolveReport
+
+
+def _canonical_json(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def _coords_from_json(doc, key: str) -> np.ndarray:
@@ -38,26 +46,24 @@ def _coords_from_json(doc, key: str) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64).reshape(-1, 2)
 
 
-def parse_instance(text: str, *, force_text: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Parse an instance document in either supported format.
+def parse_instance(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Parse an instance document in either supported format into (P, S).
 
-    JSON input is detected by a leading '{'; `force_text` skips the
-    detection for fixtures that should always use the whitespace format.
-    Raises ValueError naming the offending key, index, or line.
+    JSON input is detected by a leading '{'.  Raises ValueError naming
+    the offending key, index, or line; the coordinates themselves are
+    left for `solver.validate_instance` to check.
     """
     stripped = text.lstrip()
     if not stripped:
         raise ValueError("empty instance document")
-    if not force_text and stripped.startswith("{"):
+    if stripped.startswith("{"):
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise ValueError(f"malformed JSON: {e}") from e
         if not isinstance(doc, dict):
             raise ValueError("instance document must be a JSON object")
-        P = _coords_from_json(doc, "P")
-        S = _coords_from_json(doc, "S")
-        return validate_instance(P, S)
+        return _coords_from_json(doc, "P"), _coords_from_json(doc, "S")
 
     lines = text.splitlines()
     rows: list[tuple[int, list[float]]] = []
@@ -82,33 +88,48 @@ def parse_instance(text: str, *, force_text: bool = False) -> tuple[np.ndarray, 
         if len(row) != 2:
             raise ValueError(f"line {ln}: expected two coordinates")
     pts = np.asarray([row for _, row in body], dtype=np.float64).reshape(-1, 2)
-    return validate_instance(pts[:n], pts[n:])
+    return pts[:n], pts[n:]
+
+
+def emit_instance(P: np.ndarray, S: np.ndarray, metadata: dict) -> str:
+    """Canonical JSON instance document; `parse_instance` reads it back."""
+    return _canonical_json({"P": P.tolist(), "S": S.tolist(), "metadata": metadata})
+
+
+def tree_document(tree: FullSteinerTree) -> dict:
+    """Bottleneck length, skeleton edges as ascending (a < b) pairs in
+    ascending order, and one [terminal, candidate] pair per terminal."""
+    skel = tree.skeleton_edges
+    a = np.minimum(skel[:, 0], skel[:, 1])
+    b = np.maximum(skel[:, 0], skel[:, 1])
+    order = np.lexsort((b, a))
+    return {
+        "bottleneck": math.sqrt(tree.bottleneck),
+        "skeleton_edges": np.column_stack((a[order], b[order])).tolist(),
+        "external_edges": [[i, int(s)] for i, s in enumerate(tree.external_edges.tolist())],
+    }
+
+
+def emit_tree(tree: FullSteinerTree) -> str:
+    """Canonical JSON of a tree on its own: its document plus its vertices."""
+    return _canonical_json(
+        {**tree_document(tree), "component_vertices": tree.component_vertices.tolist()}
+    )
 
 
 def solution_document(report: SolveReport) -> dict:
     """Plain-dict form of a solve report; the unit emit/parse agree on."""
-    tree = report.tree
-    skel = tree.skeleton_edges
-    if len(skel):
-        a = np.minimum(skel[:, 0], skel[:, 1])
-        b = np.maximum(skel[:, 0], skel[:, 1])
-        order = np.lexsort((b, a))
-        skeleton = np.column_stack((a[order], b[order])).tolist()
-    else:
-        skeleton = []
     return {
-        "bottleneck": math.sqrt(report.lambda_star),
+        **tree_document(report.tree),
         "component": int(report.chosen_component),
         "threshold_index": int(report.threshold_index),
-        "skeleton_edges": skeleton,
-        "external_edges": [[i, int(s)] for i, s in enumerate(tree.external_edges.tolist())],
         "timings": {k: int(v) for k, v in sorted(report.timings.items())},
     }
 
 
 def emit_solution(report: SolveReport) -> str:
     """Canonical JSON: sorted keys, compact separators, round-trippable floats."""
-    return json.dumps(solution_document(report), sort_keys=True, separators=(",", ":"))
+    return _canonical_json(solution_document(report))
 
 
 _SOLUTION_KEYS = {
@@ -137,11 +158,11 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def render_svg(P: np.ndarray, S: np.ndarray, tree: FullSteinerTree) -> str:
-    """Standalone SVG: candidates filled, terminals open, skeleton solid,
-    externals dashed, the bottleneck-attaining edge highlighted."""
-    P = as_points(P, "P")
-    S = as_points(S, "S")
+def render_svg(tree: FullSteinerTree) -> str:
+    """Standalone SVG of a tree over its instance: candidates filled,
+    terminals open, skeleton solid, externals dashed, the
+    bottleneck-attaining edge highlighted."""
+    P, S = tree.P, tree.S
     xs = np.concatenate((P[:, 0], S[:, 0]))
     ys = np.concatenate((-P[:, 1], -S[:, 1]))  # SVG y grows downward
     span = max(xs.max() - xs.min(), ys.max() - ys.min())

@@ -114,7 +114,5 @@ def max_gap(values) -> float:
         raise ValueError("values must be non-empty")
     if not np.isfinite(v).all():
         raise ValueError("values contains a non-finite entry")
-    if v.size == 1:
-        return 0.0
     s = np.sort(v)
-    return float(np.max(s[1:] - s[:-1]))
+    return float(np.max(s[1:] - s[:-1], initial=0.0))

@@ -146,13 +146,10 @@ def build_tree_for_component(
 
 def bottleneck(tree: FullSteinerTree) -> float:
     """Largest squared edge length, recomputed from the coordinates."""
-    ext_w = pair_squared_distances(tree.P, tree.S[tree.external_edges])
-    if len(tree.skeleton_edges):
-        skel_w = pair_squared_distances(
-            tree.S[tree.skeleton_edges[:, 0]], tree.S[tree.skeleton_edges[:, 1]]
-        )
-        return float(max(skel_w.max(), ext_w.max()))
-    return float(ext_w.max())
+    S, skel = tree.S, tree.skeleton_edges
+    skel_w = pair_squared_distances(S[skel[:, 0]], S[skel[:, 1]])
+    ext_w = pair_squared_distances(tree.P, S[tree.external_edges])
+    return float(max(np.max(skel_w, initial=0.0), ext_w.max()))
 
 
 def solve(P, S) -> SolveReport:

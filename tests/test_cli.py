@@ -1,8 +1,14 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from bsteiner.cli import main
+from bsteiner import solver
+from bsteiner.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -34,7 +40,7 @@ def test_solve_writes_files(instance_file, tmp_path, capsys):
 def test_solve_text_format(tmp_path, capsys):
     path = tmp_path / "inst.txt"
     path.write_text("1 1\n1 0\n0 0\n")
-    assert main(["solve", "--input", str(path), "--text"]) == 0
+    assert main(["solve", "--input", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["bottleneck"] == 1.0
 
 
@@ -55,6 +61,62 @@ def test_oracle_agrees_with_solve(instance_file, capsys):
     assert main(["oracle", "--input", str(instance_file)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["bottleneck"] == 1.0
+
+
+def test_oracle_skeleton_edges_ascend(tmp_path, capsys):
+    # Kruskal takes the light edge (1, 2) before (0, 1); the document lists
+    # edges in ascending index order, as `solve` does
+    path = tmp_path / "inst.json"
+    path.write_text('{"P":[[-1,0],[7,0]],"S":[[0,0],[5,0],[6,0]]}')
+    assert main(["oracle", "--input", str(path)]) == 0
+    oracle = json.loads(capsys.readouterr().out)
+    assert oracle["skeleton_edges"] == [[0, 1], [1, 2]]
+    assert oracle["component_vertices"] == [0, 1, 2]
+    assert main(["solve", "--input", str(path)]) == 0
+    solved = json.loads(capsys.readouterr().out)
+    for key in ("bottleneck", "skeleton_edges", "external_edges"):
+        assert oracle[key] == solved[key]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["decide", "--lambda", "1.5"],
+    ["oracle"],
+])
+def test_each_command_validates_once(instance_file, monkeypatch, capsys, argv):
+    calls = []
+    original = solver.check_disjoint
+
+    def counting(P, S):
+        calls.append(1)
+        return original(P, S)
+
+    monkeypatch.setattr(solver, "check_disjoint", counting)
+    assert main([argv[0], "--input", str(instance_file), *argv[1:]]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def _subcommands(parser):
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def test_readme_cli_flags_exist():
+    """Every --flag in README's CLI block is accepted by its subcommand."""
+    block = re.search(r"## CLI\n\n```bash\n(.*?)```", README.read_text(), re.S).group(1)
+    commands = _subcommands(build_parser())
+    rejected = []
+    for line in block.splitlines():
+        words = line.split()
+        assert words[0] == "bsteiner"
+        sub = commands[words[1]]
+        # `gen {a|b|c} ...`: the flags belong to every listed kind
+        kinds = re.fullmatch(r"\{(.*)\}", words[2]) if len(words) > 2 else None
+        parsers = [_subcommands(sub)[k] for k in kinds.group(1).split("|")] if kinds else [sub]
+        for flag in re.findall(r"--[a-z][a-z-]*", line):
+            if not all(flag in p._option_string_actions for p in parsers):
+                rejected.append((words[1], flag))
+    assert rejected == []
 
 
 def test_gen_maxgap_roundtrip(tmp_path, capsys):

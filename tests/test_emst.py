@@ -22,8 +22,12 @@ def test_unit_square():
 
 
 def test_single_point_and_errors():
-    r = euclidean_mst([(3, 4)])
-    assert len(r.edge_w) == 0 and len(r.thresholds) == 0
+    for fn in (euclidean_mst, mst_prim_reference):
+        r = fn([(3, 4)])
+        assert r.point_count == 1
+        for a, dtype in ((r.edge_u, np.int64), (r.edge_v, np.int64),
+                         (r.edge_w, np.float64), (r.thresholds, np.float64)):
+            assert a.shape == (0,) and a.dtype == dtype
     with pytest.raises(ValueError, match="non-empty"):
         euclidean_mst([])
     with pytest.raises(ValueError, match="non-empty"):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsteiner.formats import (
+    emit_instance,
     emit_solution,
     parse_instance,
     parse_solution,
@@ -14,7 +15,7 @@ from bsteiner.formats import (
     solution_document,
 )
 from bsteiner.generators import gen_random_instance
-from bsteiner.geometry import as_points
+from bsteiner.geometry import MAX_ABS, MIN_ABS, as_points
 from bsteiner.solver import solve
 
 
@@ -37,15 +38,15 @@ def test_parse_accepts_metadata():
 
 def test_parse_error_messages():
     with pytest.raises(ValueError, match="disjoint"):
-        parse_instance('{"P":[[0,0]],"S":[[0,0]]}')
+        solve(*parse_instance('{"P":[[0,0]],"S":[[0,0]]}'))
     with pytest.raises(ValueError, match="malformed JSON"):
         parse_instance('{"P": [[1,0]')
     with pytest.raises(ValueError, match=r"S\[1\]"):
-        parse_instance('{"P":[[1,0]],"S":[[0,0],[NaN,0]]}')
+        solve(*parse_instance('{"P":[[1,0]],"S":[[0,0],[NaN,0]]}'))
     with pytest.raises(ValueError, match=r"P\[0\]: expected"):
         parse_instance('{"P":[[1]],"S":[[0,0]]}')
     with pytest.raises(ValueError, match="non-empty"):
-        parse_instance('{"P":[],"S":[[0,0]]}')
+        solve(*parse_instance('{"P":[],"S":[[0,0]]}'))
     with pytest.raises(ValueError, match="missing key"):
         parse_instance('{"P":[[1,0]]}')
     with pytest.raises(ValueError, match="line 2"):
@@ -56,6 +57,28 @@ def test_parse_error_messages():
         parse_instance("2 1\n1 0\n0 0")
     with pytest.raises(ValueError, match="empty"):
         parse_instance("   \n  ")
+
+
+# every coordinate the instance contract admits, including -0.0 and both
+# ends of each magnitude range
+coordinate = st.one_of(
+    st.sampled_from([0.0, -0.0, MIN_ABS, -MIN_ABS, MAX_ABS, -MAX_ABS]),
+    st.floats(min_value=MIN_ABS, max_value=MAX_ABS).flatmap(
+        lambda x: st.sampled_from([x, -x])
+    ),
+)
+point_rows = st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=8)
+
+
+@settings(max_examples=100)
+@given(point_rows, point_rows, st.dictionaries(st.text(max_size=5), st.integers()))
+def test_emit_instance_roundtrips_bytewise(P_rows, S_rows, metadata):
+    P = np.array(P_rows, dtype=np.float64)
+    S = np.array(S_rows, dtype=np.float64)
+    P2, S2 = parse_instance(emit_instance(P, S, metadata))
+    for a, b in ((P, P2), (S, S2)):
+        assert b.dtype == np.float64 and b.shape == a.shape
+        assert b.tobytes() == a.tobytes()
 
 
 def test_text_format_blank_lines_ok():
@@ -111,13 +134,13 @@ def count_tags(svg):
 
 def test_svg_single_edge():
     P, S = as_points([(1, 0)]), as_points([(0, 0)])
-    svg = render_svg(P, S, solve(P, S).tree)
+    svg = render_svg(solve(P, S).tree)
     assert count_tags(svg) == (2, 1)
 
 
 def test_svg_collinear():
     P, S = as_points([(-1, 0), (3, 0)]), as_points([(0, 0), (1, 0), (2, 0)])
-    svg = render_svg(P, S, solve(P, S).tree)
+    svg = render_svg(solve(P, S).tree)
     assert count_tags(svg) == (5, 4)
     assert svg.count("#d62728") == 1  # exactly one highlighted edge
 
@@ -129,6 +152,6 @@ def test_svg_well_formed_random():
             int(rng.integers(1, 12)), int(rng.integers(1, 12)), 20.0,
             seed=int(rng.integers(1 << 31)),
         )
-        svg = render_svg(P, S, solve(P, S).tree)
+        svg = render_svg(solve(P, S).tree)
         ET.fromstring(svg)  # raises on malformed XML
         assert "viewBox" in svg
