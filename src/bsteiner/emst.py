@@ -60,20 +60,34 @@ class EmstResult:
         )
 
 
+def run_starts(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from their predecessor.
+
+    `a[run_starts(a)]` equals `np.unique(a)`; an empty array gives an
+    empty mask.
+    """
+    first = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return first
+
+
 def _kruskal(m: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> EmstResult:
     """Minimum spanning tree over candidate edges that connect all m points.
 
     Edge weights are replaced by their ranks 1..E in (w, u, v) order (a
     stored 0 would read as no edge).  Distinct ranks make the spanning tree
     unique: exactly the tree a Kruskal scan in (w, u, v) order takes.
+    The order is a stable sort by the key u*m + v followed by a stable
+    sort by w, the same permutation as `np.lexsort((v, u, w))`.
     """
-    order = np.lexsort((v, u, w))
+    order = np.argsort(u * np.int64(m) + v, kind="stable")
+    order = order[np.argsort(w[order], kind="stable")]
     u, v, w = u[order], v[order], w[order]
     rank = np.arange(1, len(u) + 1, dtype=np.float64)
     tree = minimum_spanning_tree(sparse_graph(m, u, v, rank), overwrite=True)
     keep = np.sort(tree.data).astype(np.int64) - 1
     eu, ev, ew = u[keep], v[keep], w[keep]
-    return EmstResult(m, eu, ev, ew, np.unique(ew))
+    return EmstResult(m, eu, ev, ew, ew[run_starts(ew)])
 
 
 def _candidate_edges(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,7 +100,9 @@ def _candidate_edges(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     points, collinear sets, or a point Qhull reports as coplanar) by the
     six-cone Yao graph of U, which contains the EMST (Yao 1982).  U is
     ordered by representative index, so the Yao graph breaks distance
-    ties in the same order as (w, u, v).
+    ties in the same order as (w, u, v).  Either way each pair comes out
+    once, as u < v in ascending key u*m + v: a sort of the keys and a
+    neighbour compare (`run_starts`) drop the repeats.
     """
     m = len(S)
     uniq, inverse = np.unique(points_as_complex(S), return_inverse=True)
@@ -115,8 +131,9 @@ def _candidate_edges(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     cu = np.minimum(pairs[:, 0], pairs[:, 1])
     cv = np.maximum(pairs[:, 0], pairs[:, 1])
-    dedup = np.unique(cu * np.int64(m) + cv)
-    cu, cv = dedup // m, dedup % m
+    keys = np.sort(cu * np.int64(m) + cv)
+    keys = keys[run_starts(keys)]
+    cu, cv = keys // m, keys % m
     return np.concatenate((zu, cu)), np.concatenate((zv, cv))
 
 

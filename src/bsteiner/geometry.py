@@ -46,8 +46,12 @@ def points_as_complex(pts: np.ndarray) -> np.ndarray:
 
 def check_disjoint(P: np.ndarray, S: np.ndarray) -> None:
     """Raise if the two point sets share any coordinate pair."""
-    if np.intersect1d(points_as_complex(P), points_as_complex(S)).size:
-        raise ValueError("P and S must be disjoint")
+    a = np.sort(points_as_complex(P))
+    b = np.sort(points_as_complex(S))
+    if len(a) and len(b):
+        at = np.minimum(np.searchsorted(b, a), len(b) - 1)
+        if (b[at] == a).any():
+            raise ValueError("P and S must be disjoint")
 
 
 def squared_distance(a, b) -> float:
@@ -78,6 +82,30 @@ def squared_distance_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return dx * dx + dy * dy
 
 
+def _ray_start(j: int) -> float:
+    """Smallest float64 >= j * CONE_ANGLE, the product taken as a real."""
+    num, den = CONE_ANGLE.as_integer_ratio()
+    r = (j * num) / den  # int / int is correctly rounded
+    rn, rd = r.as_integer_ratio()
+    return r if rn * den >= j * num * rd else float(np.nextafter(r, np.inf))
+
+
+def _negative_start(ray: float) -> float:
+    """Smallest float64 t with t + TWO_PI >= ray in float arithmetic (pi < ray)."""
+    lo, hi = -4.0, 0.0  # lo + TWO_PI < ray <= hi + TWO_PI
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (lo, mid) if mid + TWO_PI >= ray else (mid, hi)
+    return hi
+
+
+# R_1..R_6, the ray starts: theta in [0, 2*pi] lies in cone #{j : R_j <= theta} mod 6.
+RAY_STARTS = np.array([_ray_start(j) for j in range(1, NUM_CONES + 1)])
+# The same classes on t = arctan2 in [-pi, pi]: t lies in cone _SLOT_CONE[i],
+# i = #{b in _T_BOUNDS : b <= t}.
+_T_BOUNDS = np.array([_negative_start(r) for r in RAY_STARTS[3:]] + list(RAY_STARTS[:3]))
+_SLOT_CONE = np.array([3, 4, 5, 0, 1, 2, 3], dtype=np.int64)
+
+
 def cone_indices_from_deltas(dx, dy) -> np.ndarray:
     """Cone index in {0..5} of each direction vector (dx, dy).
 
@@ -85,10 +113,28 @@ def cone_indices_from_deltas(dx, dy) -> np.ndarray:
     counterclockwise from the positive x axis.  The single definition
     point for cone classification: every construction in the package
     funnels through here, so boundary rounding cannot diverge.
+
+    The specification is `(arctan2(dy, dx) % TWO_PI) // CONE_ANGLE % 6`,
+    and this computes the same integer with one sorted lookup of t =
+    arctan2(dy, dx) in [-pi, pi] instead of a float modulo and division.
+    `t % TWO_PI` is fmod(t, TWO_PI) = t, exact because |t| < TWO_PI, plus
+    TWO_PI where t < 0: theta = t + TWO_PI there, rounded once, and t
+    elsewhere (t = -0.0 lands in cone 0 either way).  For 0 <= theta <=
+    TWO_PI, float `theta // CONE_ANGLE` is the exact floor q of the real
+    quotient: fmod gives the exact remainder, and the rounding of
+    (theta - remainder) / CONE_ANGLE, a few ulps at q <= 6, is undone by
+    numpy's correction to the nearest integer.  Hence q >= j exactly when
+    theta >= j * CONE_ANGLE as reals, and for a float theta that holds
+    exactly when theta >= R_j, the smallest float64 not below that real
+    (`RAY_STARTS`).  So q counts the R_j at or below theta, and q = 6,
+    where theta rounds up to TWO_PI, folds back onto cone 0.  For t >= 0
+    the bounds R_1..R_3 apply to t itself.  For t < 0, theta >= pi = R_3
+    always, and since rounding is monotone, theta >= R_j (j = 4, 5, 6)
+    exactly when t is at least the smallest float whose sum with TWO_PI
+    rounds to R_j or above (`_negative_start`).  Those six bounds, in
+    order, split [-pi, pi] into the slots of `_SLOT_CONE`.
     """
-    theta = np.arctan2(dy, dx) % TWO_PI
-    # theta can round up to exactly 2*pi; fold that back onto cone 0.
-    return (theta // CONE_ANGLE).astype(np.int64) % NUM_CONES
+    return _SLOT_CONE[np.searchsorted(_T_BOUNDS, np.arctan2(dy, dx), side="right")]
 
 
 def cone_indices(apex, targets: np.ndarray) -> np.ndarray:

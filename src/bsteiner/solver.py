@@ -3,8 +3,9 @@
 Pipeline: spanning tree of the candidate set plus the six-cone terminal
 graph, a binary search over the distinct tree edge weights driven by the
 threshold decision procedure, then assembly of the at most six candidate
-trees and selection of the one with the smallest bottleneck.  All weights
-are squared lengths end to end.
+trees and selection of the one with the smallest bottleneck.  The search
+starts above the attach lower bound max_p min_cone w(p, s), below which
+no threshold can succeed.  All weights are squared lengths end to end.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .decision import (
     candidate_components,
     forest_components,
 )
-from .emst import euclidean_mst, sparse_graph
+from .emst import euclidean_mst, run_starts, sparse_graph
 from .geometry import as_points, check_disjoint, pair_squared_distances
 from .yao import yao_bipartite
 
@@ -85,14 +86,21 @@ def threshold_value(emst, index: int) -> float:
 def binary_search_threshold(ctx: SolverContext) -> int:
     """Smallest index whose threshold makes the candidate set non-empty.
 
-    Searches 1..k+1 over the augmented sequence; the infinite sentinel at
-    k+1 always succeeds, so the index exists.
+    Searches the augmented sequence up to k+1; the infinite sentinel at
+    k+1 always succeeds, so the index exists.  The search starts above
+    every threshold at or below the attach bound: below such a threshold
+    the binding terminal has no cone edge strictly shorter, so the
+    candidate set is empty.  The bound max_p min_cone w(p, s) is positive,
+    so this also skips the zero threshold that duplicate candidates put
+    first.
     """
+    yao = ctx.yao
+    # every terminal has a cone edge (its nearest candidate lies in some
+    # cone), and the edges come grouped by terminal
+    attach = np.minimum.reduceat(yao.w, np.flatnonzero(run_starts(yao.p_idx))).max()
     thresholds = ctx.emst.thresholds
     k = len(thresholds)
-    # duplicate candidates put a zero-weight threshold first; the candidate
-    # set below a non-positive threshold is empty by definition, so skip it
-    lo = int(np.searchsorted(thresholds, 0.0, side="right")) + 1
+    lo = int(np.searchsorted(thresholds, attach, side="right")) + 1
     hi = k + 1
     while lo < hi:
         mid = (lo + hi) // 2
@@ -127,18 +135,18 @@ def build_tree_for_component(
     skel_w = ew[keep]
 
     yao = ctx.yao
-    n = len(ctx.P)
     qual = (yao.w < threshold) & (label[yao.s_idx] == j)
     p = yao.p_idx[qual]
     s = yao.s_idx[qual]
     w = yao.w[qual]
-    order = np.lexsort((s, w, p))
-    p, s, w = p[order], s[order], w[order]
-    uniq, first = np.unique(p, return_index=True)
-    if len(uniq) != n:
+    # the edges stay grouped by terminal: one run per terminal that attaches
+    starts = run_starts(p)
+    first = np.flatnonzero(starts)
+    if len(first) != len(ctx.P):
         raise ValueError("component not feasible at lambda")
-    ext = s[first]
-    ext_w = w[first]
+    ext_w = np.minimum.reduceat(w, first)
+    tied = w == ext_w[np.cumsum(starts) - 1]
+    ext = np.minimum.reduceat(np.where(tied, s, len(ctx.S)), first)
 
     b = float(max(np.max(skel_w, initial=0.0), ext_w.max()))
     return FullSteinerTree(ctx.P, ctx.S, comp, skeleton, ext, b)

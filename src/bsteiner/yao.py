@@ -283,17 +283,17 @@ def yao_bipartite(P, S) -> YaoGraph:
     done = np.zeros((n, NUM_CONES), dtype=bool)
 
     kdtree = cKDTree(S, leafsize=_LEAF_SIZE)
+    Sx, Sy = np.ascontiguousarray(S[:, 0]), np.ascontiguousarray(S[:, 1])
     active = np.arange(n, dtype=np.int64)
     k = min(_KNN_START, m)
     while active.size:
         a = len(active)
-        d, idx = kdtree.query(P[active], k=k, workers=-1)
+        apex = P[active]
+        d, idx = kdtree.query(apex, k=k, workers=-1)
         d = np.atleast_1d(d).reshape(a, k)
         idx = np.atleast_1d(idx).reshape(a, k)
-        apex = P[active]
-        tgt = S[idx.reshape(-1)].reshape(a, k, 2)
-        dx = tgt[..., 0] - apex[:, None, 0]
-        dy = tgt[..., 1] - apex[:, None, 1]
+        dx = Sx[idx] - apex[:, 0, None]
+        dy = Sy[idx] - apex[:, 1, None]
         w = (dx * dx + dy * dy).reshape(-1)
         w[w == 0] = np.inf  # a point on the apex lies in no cone
         cone = cone_indices_from_deltas(dx, dy)

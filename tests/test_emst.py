@@ -63,7 +63,12 @@ def kruskal_all_pairs(S):
         for j in range(i + 1, len(pts)):
             dx, dy = xi - pts[j][0], yi - pts[j][1]
             pairs.append((dx * dx + dy * dy, i, j))
-    parent = list(range(len(pts)))
+    return kruskal_scan(len(pts), [(i, j, w) for w, i, j in sorted(pairs)])
+
+
+def kruskal_scan(m, edges):
+    """Edges (u, v, w) that a Kruskal scan keeps, taking `edges` in order."""
+    parent = list(range(m))
 
     def find(a):
         while parent[a] != a:
@@ -72,12 +77,45 @@ def kruskal_all_pairs(S):
         return a
 
     tree = []
-    for w, i, j in sorted(pairs):
+    for i, j, w in edges:
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[ri] = rj
             tree.append((i, j, w))
     return tree
+
+
+def test_kruskal_order_matches_lexsort():
+    # shuffled distinct pairs with few distinct weights, so ties decide the tree
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        m = int(rng.integers(2, 90))
+        iu, iv = np.triu_indices(m, 1)
+        pick = rng.random(len(iu)) < rng.uniform(0.05, 0.6)
+        pick[np.flatnonzero((iv - iu) == 1)] = True  # the path 0-1-...-(m-1)
+        order = rng.permutation(np.flatnonzero(pick))
+        u, v = iu[order].astype(np.int64), iv[order].astype(np.int64)
+        w = rng.integers(0, int(rng.integers(1, 5)), len(u)) * 0.5
+        got = emst._kruskal(m, u, v, w)
+        ref = np.lexsort((v, u, w))
+        want = kruskal_scan(m, zip(u[ref].tolist(), v[ref].tolist(), w[ref].tolist()))
+        assert got.edges == want
+        assert np.array_equal(got.thresholds, np.unique(got.edge_w))
+        for a, dtype in ((got.edge_u, np.int64), (got.edge_v, np.int64),
+                         (got.edge_w, np.float64), (got.thresholds, np.float64)):
+            assert a.dtype == dtype
+
+
+def test_tiny_and_all_duplicate_sets():
+    for S, thresholds in (([(3, 4)], []), ([(0, 0), (3, 0)], [9.0]),
+                          ([(2, -0.0)] * 5, [0.0]), ([(1, 1), (1, 1)], [0.0])):
+        r = euclidean_mst(S)
+        assert r.point_count == len(S)
+        for a, dtype in ((r.edge_u, np.int64), (r.edge_v, np.int64), (r.edge_w, np.float64)):
+            assert a.shape == (len(S) - 1,) and a.dtype == dtype
+        assert r.thresholds.dtype == np.float64
+        assert r.thresholds.tolist() == thresholds
+        assert r.edges == mst_prim_reference(S).edges
 
 
 # integer points on x^2 + y^2 = 65^2

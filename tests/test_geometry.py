@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from bsteiner.geometry import (
     CONE_ANGLE,
+    RAY_STARTS,
+    TWO_PI,
     as_points,
     check_disjoint,
     cone_index,
     cone_indices,
+    cone_indices_from_deltas,
     max_gap,
     squared_distance,
     squared_distance_matrix,
@@ -94,6 +97,81 @@ def test_cone_indices_vector_agrees_with_scalar():
     assert all(int(vec[i]) == cone_index(apex, targets[i]) for i in range(len(targets)))
 
 
+def spec_cone(dx, dy):
+    """The defining formula of the cone classes, kept as the reference."""
+    return (np.arctan2(dy, dx) % TWO_PI) // CONE_ANGLE % 6
+
+
+def assert_matches_spec(dx, dy):
+    got = cone_indices_from_deltas(dx, dy)
+    assert got.dtype == np.int64
+    want = spec_cone(dx, dy)
+    bad = np.flatnonzero(got.ravel() != want.ravel())
+    assert bad.size == 0, (np.ravel(dx)[bad[:5]], np.ravel(dy)[bad[:5]])
+    return want
+
+
+def ulp_steps(x, k=64):
+    """x and the k floats on either side of it, in order."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.array(below[:0:-1] + above)
+
+
+def test_cone_classes_match_spec_around_rays():
+    for j in range(7):
+        # perturb the angle itself, and the coordinates of the ray direction
+        base = j * CONE_ANGLE
+        angles = np.concatenate((ulp_steps(base), ulp_steps(base - TWO_PI), ulp_steps(RAY_STARTS[j - 1])))
+        c, s = ulp_steps(math.cos(base)), ulp_steps(math.sin(base))
+        grid_x, grid_y = np.meshgrid(c, s)
+        for e in (-400, -300, -60, 0, 1, 60, 300, 499):
+            r = 2.0**e
+            for sign in (1.0, -1.0):
+                dx = sign * r * np.concatenate((np.cos(angles), grid_x.ravel()))
+                dy = sign * r * np.concatenate((np.sin(angles), grid_y.ravel()))
+                want = assert_matches_spec(dx, dy)
+                if j < 6:
+                    # the sample straddles the ray: both neighbouring cones occur
+                    ray = (j + 3 * (sign < 0)) % 6
+                    assert {ray, (ray + 5) % 6} <= set(want.tolist())
+
+
+def test_cone_classes_match_spec_on_zeros_and_round_up():
+    z = [0.0, -0.0, 1.0, -1.0, 2.0**-400, -(2.0**-400)]
+    dx, dy = (a.ravel() for a in np.meshgrid(z, z))
+    assert_matches_spec(dx, dy)
+    # tiny negative angles: t + 2*pi rounds up to exactly 2*pi, which is cone 0;
+    # atan(y) = y for these y, so the steps around -2**-51 probe t ulp by ulp
+    tiny = np.concatenate((-(2.0 ** -np.arange(40.0, 500.0)), ulp_steps(-(2.0**-51))))
+    want = assert_matches_spec(np.ones_like(tiny), tiny)
+    assert want[0] == 5 and want[-1] == 0 and {0, 5} <= set(want[-129:].tolist())
+    for x, y in zip(dx.tolist() + [1.0] * 3, dy.tolist() + tiny[[0, 20, -1]].tolist()):
+        assert int(cone_indices_from_deltas(np.float64(x), np.float64(y))) == spec_cone(x, y)
+        if (x, y) != (0.0, 0.0):
+            assert cone_index((0.0, 0.0), (x, y)) == spec_cone(x, y)
+
+
+def test_cone_classes_match_spec_on_lattice_lines():
+    # differences of a triangular lattice: many deltas along 0, 60 and 120 degrees
+    i, j = (a.ravel().astype(np.float64) for a in np.mgrid[-8:9, -8:9])
+    for scale in (1.0, 1.7, 2.0**-300, 2.0**300):
+        x = scale * (i + j * math.cos(math.pi / 3))
+        y = scale * (j * math.sin(math.pi / 3))
+        assert_matches_spec(x[:, None] - x[None, :], y[:, None] - y[None, :])
+    for a in (0.0, 60.0, 120.0):
+        t = np.arange(-500.0, 501.0)
+        assert_matches_spec(t * math.cos(math.radians(a)), t * math.sin(math.radians(a)))
+
+
+def test_cone_classes_match_spec_on_random_deltas():
+    rng = np.random.default_rng(11)
+    scale = 2.0 ** rng.integers(-400, 500, 10**6)
+    assert_matches_spec(rng.normal(size=10**6) * scale, rng.normal(size=10**6) * scale)
+
+
 def test_same_cone_proximity_inequality():
     # two points in one cone, the nearer one pulls within the farther one's radius
     rng = np.random.default_rng(4)
@@ -154,3 +232,12 @@ def test_check_disjoint():
     check_disjoint(np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]]))
     with pytest.raises(ValueError, match="disjoint"):
         check_disjoint(np.array([[0.0, -0.0]]), np.array([[0.0, 0.0], [2.0, 2.0]]))
+    # keys below, between and above the other set's, and shared first or last
+    S = np.array([[3.0, 1.0], [1.0, 5.0], [1.0, 2.0]])
+    check_disjoint(np.array([[0.0, 9.0], [1.0, 3.0], [3.0, 2.0], [1.0, 2.5]]), S)
+    for shared in S:
+        P = np.array([[-1.0, 0.0], shared, [7.0, 7.0]])
+        with pytest.raises(ValueError, match="disjoint"):
+            check_disjoint(P, S)
+        with pytest.raises(ValueError, match="disjoint"):
+            check_disjoint(S, P)

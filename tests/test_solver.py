@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bsteiner import solver
 from bsteiner.decision import SolverContext, compare_to_optimal, forest_components
 from bsteiner.emst import euclidean_mst
 from bsteiner.generators import (
@@ -228,6 +229,76 @@ def test_brute_yao_variant_agrees():
         r = solve(P, S)
         assert ell == r.threshold_index
         assert lam_star == r.lambda_star
+
+
+def count_decision_calls(monkeypatch):
+    calls = []
+    forest = solver.forest_components
+
+    def counted(emst, threshold):
+        calls.append(threshold)
+        return forest(emst, threshold)
+
+    monkeypatch.setattr(solver, "forest_components", counted)
+    return calls
+
+
+def test_search_skips_indices_below_attach_bound(monkeypatch):
+    calls = count_decision_calls(monkeypatch)
+    instances = [(COLLINEAR_P, COLLINEAR_S), ([(1, 0)], [(0, 0)])]
+    for seed in range(8):
+        instances.append(gen_random_instance(300, 300, 1000.0, seed=seed))
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(0.0, 2.0 * np.pi, 100)  # terminals ring a candidate disc
+        instances.append((np.column_stack((1.2 * np.cos(t), 1.2 * np.sin(t))),
+                          rng.uniform(-0.6, 0.6, (200, 2))))
+    skipped = 0
+    for P, S in instances:
+        ctx = preprocess(P, S)
+        attach = squared_distance_matrix(ctx.P, ctx.S).min(axis=1).max()
+        k = len(ctx.emst.thresholds)
+        if k and attach < ctx.emst.thresholds[-1]:
+            continue
+        del calls[:]
+        assert binary_search_threshold(ctx) == k + 1
+        assert calls == []
+        skipped += 1
+    assert skipped >= 10
+
+
+def linear_scan_index(ctx):
+    """Smallest index of the augmented thresholds whose candidate set is non-empty."""
+    k = len(ctx.emst.thresholds)
+    for i in range(1, k + 2):
+        lam = threshold_value(ctx.emst, i)
+        if lam > 0 and compare_to_optimal(ctx, lam):
+            return i
+    raise AssertionError("the infinite threshold always succeeds")
+
+
+def test_search_index_matches_linear_scan():
+    rng = np.random.default_rng(905)
+    inner = 0
+    for trial in range(120):
+        n = int(rng.integers(1, 15))
+        m = int(rng.integers(1, 25))
+        if trial % 3 == 0:
+            # half-integer lattice: duplicate candidates put zero thresholds first
+            S = rng.integers(-3, 4, (m, 2)) / 2.0
+            P = rng.integers(-3, 4, (n, 2)) / 2.0 + 0.25
+        elif trial % 3 == 1:
+            # terminals clustered inside spread candidates: the optimum binds mid-way
+            S = rng.uniform(0.0, 60.0, (m, 2))
+            P = rng.uniform(25.0, 35.0, (n, 2))
+        else:
+            P, S = gen_random_instance(n, m, 60.0, seed=int(rng.integers(1 << 31)))
+        ctx = preprocess(P, S)
+        ell = binary_search_threshold(ctx)
+        assert ell == linear_scan_index(ctx)
+        inner += ell <= len(ctx.emst.thresholds)
+        lam, _ = brute_force_optimum(P, S)
+        assert solve(P, S).lambda_star == lam
+    assert inner >= 20
 
 
 def test_timings_present():
