@@ -47,6 +47,15 @@ _KNN_CAP = 512
 # line of 2**13 points at 60 degrees about 4x faster and leaves the kNN
 # rounds at 2**19 points level; 128 and 256 slow those rounds by 10-30 %.
 _LEAF_SIZE = 64
+# A kNN round uses every core only when it fetches at least this many
+# neighbors.  Smaller rounds take a few ms, and split over threads they
+# wait on the slower thread whenever another process holds a core: on the
+# hull workload (2**11 terminals, rounds of at most 2**17 fetches) the
+# throughput of eight alternating 30 s runs on a shared 2-core machine
+# had an interquartile range of 16 % of its median, against 4 % with
+# these rounds single-threaded.  The first round at 2**14 terminals
+# fetches 2**19 neighbors, where threads save about 40 % on that machine.
+_PARALLEL_MIN = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -271,8 +280,8 @@ def yao_bipartite(P, S) -> YaoGraph:
     with sparse cones, fall through to an exact cone-pruned search of the
     same k-d tree with best-so-far pruning (`_cone_query`).
 
-    The module constants `_KNN_START`, `_KNN_CAP` and `_LEAF_SIZE` only
-    trade speed; any setting yields the same graph.
+    The module constants `_KNN_START`, `_KNN_CAP`, `_LEAF_SIZE` and
+    `_PARALLEL_MIN` only trade speed; any setting yields the same graph.
     Precondition: P and S are non-empty (not checked here).
     """
     P = as_points(P, "P")
@@ -289,7 +298,7 @@ def yao_bipartite(P, S) -> YaoGraph:
     while active.size:
         a = len(active)
         apex = P[active]
-        d, idx = kdtree.query(apex, k=k, workers=-1)
+        d, idx = kdtree.query(apex, k=k, workers=-1 if a * k >= _PARALLEL_MIN else 1)
         d = np.atleast_1d(d).reshape(a, k)
         idx = np.atleast_1d(idx).reshape(a, k)
         dx = Sx[idx] - apex[:, 0, None]
