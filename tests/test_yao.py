@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -237,3 +239,98 @@ def test_small_knn_rounds_run_single_threaded(monkeypatch):
         seen.clear()
         assert same_edges(want, yao_bipartite(P, S))
         assert seen and all(w == workers for _, w in seen)
+
+
+def _ring(rng, k, r0, r1):
+    r = np.sqrt(rng.uniform(r0 * r0, r1 * r1, k))
+    t = rng.uniform(0.0, 2.0 * np.pi, k)
+    return np.column_stack((r * np.cos(t), r * np.sin(t)))
+
+
+def _block_families():
+    rng = np.random.default_rng(305)
+    lattice = rng.integers(-6, 7, (500, 2)) / 2.0  # about three candidates per lattice point
+    t = rng.permutation(700).astype(float)[:, None]
+    sixty = t * np.array([np.cos(np.pi / 3), np.sin(np.pi / 3)]) * 1.7
+    return {
+        "uniform": gen_random_instance(150, 400, 100.0, seed=306),
+        "hull": (_ring(rng, 120, 1010.0, 1200.0), _ring(rng, 400, 0.0, 1000.0)),
+        "lattice": (rng.integers(-7, 8, (150, 2)) / 2.0 + 0.25, lattice),
+        "line60": (sixty, sixty),  # m > _KNN_CAP, and the cone search runs along the line
+    }
+
+
+BLOCK_FAMILIES = _block_families()
+K = yao._KNN_START
+
+
+@pytest.mark.parametrize(
+    "block, order",
+    [
+        (1, None),
+        (K - 1, None),
+        (K, None),
+        (K + 1, None),
+        (7 * K + 5, None),  # 7 rows per first-round block, dividing no terminal count
+        (None, "identity"),
+        (None, "reverse"),
+        (None, "random"),
+    ],
+)
+def test_blocks_and_visit_order_keep_the_graph(monkeypatch, block, order):
+    """Neither the row blocks nor the terminal visit order change the graph."""
+    if block is not None:
+        monkeypatch.setattr(yao, "_BLOCK", block)
+    rng = np.random.default_rng(307)
+    orders = {
+        "identity": lambda P: np.arange(len(P)),
+        "reverse": lambda P: np.arange(len(P))[::-1],
+        "random": lambda P: rng.permutation(len(P)),
+    }
+    if order is not None:
+        monkeypatch.setattr(yao, "_z_order", orders[order])
+    for P, S in BLOCK_FAMILIES.values():
+        assert same_edges(yao_bruteforce(P, S), yao_bipartite(P, S))
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        [(3.0, 4.0)],
+        [(2.5, -1.0)] * 5,
+        [(t, 7.0) for t in (5.0, -3.0, 0.0, 2.0, -3.0)],
+        [(x, y) for x in (0.0, 2.0**-400, -(2.0**-400)) for y in (2.0**499, -(2.0**499), 0.0)],
+        [(x, y) for x in (2.0**-400, -(2.0**-400)) for y in (2.0**-400, 2.0**-400 * (1 + 2.0**-52))],
+    ],
+    ids=["one", "all-equal", "horizontal", "extremes", "tiny-span"],
+)
+def test_z_order_is_a_permutation(P):
+    with np.errstate(all="raise"):
+        order = yao._z_order(np.asarray(P, dtype=float))
+    assert np.array_equal(np.sort(order), np.arange(len(P)))
+
+
+def test_z_order_follows_the_morton_curve():
+    # on a 4 x 4 grid the 16-bit cells repeat each coordinate's two bits,
+    # so the visit order is the 2-bit Morton order
+    def morton(x, y):
+        return sum(((x >> i) & 1) << (2 * i) | ((y >> i) & 1) << (2 * i + 1) for i in range(2))
+
+    cells = np.random.default_rng(308).permutation([(x, y) for x in range(4) for y in range(4)])
+    order = yao._z_order(cells.astype(float))
+    assert [morton(x, y) for x, y in cells[order].tolist()] == list(range(16))
+
+
+def test_peak_memory_of_one_call_stays_bounded():
+    # the row blocks keep the glue around each round's query small: one
+    # call at n = m = 2**14 peaks near 10 MB; reducing a round's neighbor
+    # lists whole takes about 36 MB
+    P, S = gen_random_instance(1 << 14, 1 << 14, 1000.0, seed=309)
+    yao_bipartite(P, S)
+    tracemalloc.start()
+    try:
+        yao_bipartite(P, S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
