@@ -1,13 +1,24 @@
 """Euclidean minimum spanning tree of the Steiner candidate set.
 
 The production path triangulates the points and takes scipy's minimum
-spanning tree over the triangulation edges (the EMST is always a
-subgraph of the Delaunay triangulation), with the edges ranked by
-(weight, u, v) so that ties resolve deterministically.  Point sets that
-Qhull cannot triangulate whole (collinear sets, near-duplicates it drops
-as coplanar) take the six-cone Yao graph instead, which also contains
-the EMST and has at most 6m edges.  A dense Prim implementation serves
-as the independent reference.
+spanning tree over the triangulation edges, with the edges ranked by
+(weight, u, v) so that ties resolve deterministically.  Every edge of
+that tree is a strict Gabriel edge: the closed disc on it as diameter
+holds no other point (Gabriel & Sokal 1969), so it lies in every
+Delaunay triangulation of any subset holding both its ends.
+
+To bound memory, sets of more than `_DT_BLOCK` distinct points are split
+at medians into boxed blocks, each triangulated on its own.  A tree edge
+across blocks ends at two seam points: hull vertices of their block, or
+points within twice their largest incident circumradius of their box's
+boundary.  An edge's midpoint lies in the Voronoi cell of each end, and
+an interior point's cell lies within that circumradius of it.  One more
+triangulation of all seam points supplies those edges.
+
+Point sets where some call does not triangulate every point (collinear
+blocks, near-duplicates Qhull drops as coplanar) take the six-cone Yao
+graph instead, which also contains the EMST and has at most 6m edges.
+A dense Prim implementation serves as the independent reference.
 """
 
 from __future__ import annotations
@@ -90,19 +101,142 @@ def _kruskal(m: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> EmstResult:
     return EmstResult(m, eu, ev, ew, ew[run_starts(ew)])
 
 
+_DT_BLOCK = 1 << 13  # most points per Delaunay call; bounds memory, never the edges
+
+
+def _delaunay(pts: np.ndarray) -> Delaunay | None:
+    """Delaunay triangulation of pts, or None unless Qhull keeps every point."""
+    try:
+        tri = Delaunay(pts)
+    except QhullError:
+        return None
+    return tri if len(tri.coplanar) == 0 else None
+
+
+def _blocks(pts: np.ndarray):
+    """Blocks (idx, lo, hi) of at most _DT_BLOCK points, idx ascending.
+
+    Each block owns the closed box with corners lo and hi; its sides on the
+    outside of the set are infinite.  A split cuts at the median of the
+    wider axis, and points on the cut may fall on either side, since both
+    boxes contain it.  So a point strictly inside one box lies in no other.
+    """
+    todo = [(np.arange(len(pts)), np.full(2, -np.inf), np.full(2, np.inf))]
+    while todo:
+        idx, lo, hi = todo.pop()
+        if len(idx) <= _DT_BLOCK:
+            yield idx, lo, hi
+            continue
+        p = pts[idx]
+        axis = int(np.argmax(np.ptp(p, axis=0)))
+        half = len(idx) // 2
+        order = np.argpartition(p[:, axis], half)
+        low_hi, high_lo = hi.copy(), lo.copy()
+        low_hi[axis] = high_lo[axis] = p[order[half], axis]
+        todo.append((np.sort(idx[order[half:]]), high_lo, hi))
+        todo.append((np.sort(idx[order[:half]]), lo, low_hi))
+
+
+def _seam(pts: np.ndarray, tri: Delaunay, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Mask of the block points that may end a spanning tree edge leaving the box.
+
+    An interior point's Voronoi cell lies within rho_max of it, the largest
+    circumradius of its triangles, so its tree edges are at most 2 rho_max
+    long.  Points within that reach of the box boundary are seam points,
+    and so is every hull vertex, whose cell is unbounded.  rho is an upper
+    bound computed on coordinates scaled by a power of two below 1, so no
+    product overflows; a triangle whose area or edge product comes near
+    underflow gets rho = inf.
+    """
+    e = np.frexp(np.abs(pts).max())[1]
+    q = np.ldexp(pts, -e)
+    sim = tri.simplices
+    a, b, c = q[sim[:, 0]], q[sim[:, 1]], q[sim[:, 2]]
+    d1, d2, d3 = b - a, c - a, c - b
+    s, t = d1[:, 0] * d2[:, 1], d1[:, 1] * d2[:, 0]
+    area2 = np.abs(s - t) - 2.0**-40 * (np.abs(s) + np.abs(t))  # <= twice the area
+    abc = np.hypot(d1[:, 0], d1[:, 1]) * np.hypot(d2[:, 0], d2[:, 1]) * np.hypot(d3[:, 0], d3[:, 1])
+    rho = np.full(len(sim), np.inf)
+    np.divide(abc, 2.0 * area2, out=rho, where=np.minimum(area2, abc) > 2.0**-900)
+    rho_max = np.zeros(len(pts))
+    for k in range(3):
+        np.maximum.at(rho_max, sim[:, k], rho)
+    reach = np.ldexp(np.minimum(pts - lo, hi - pts).min(axis=1), -e)
+    seam = ~(2.0 * rho_max * (1.0 + 2.0**-20) < reach)
+    seam[tri.convex_hull] = True
+    return seam
+
+
+def _pair_keys(u: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
+    """Keys min*m + max of the pairs (u[i], v[i])."""
+    return np.minimum(u, v) * np.int64(m) + np.maximum(u, v)
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys in ascending order; sorts `keys` in place."""
+    keys.sort()
+    return keys[run_starts(keys)]
+
+
+def _triangle_keys(sim: np.ndarray, label: np.ndarray, m: int) -> np.ndarray:
+    """Distinct keys of the triangle sides, vertices relabeled; built column by column."""
+    t = len(sim)
+    keys = np.empty(3 * t, dtype=np.int64)
+    for k in range(3):
+        keys[k * t : (k + 1) * t] = _pair_keys(label[sim[:, k]], label[sim[:, k - 1]], m)
+    return _distinct(keys)
+
+
+def _delaunay_keys(upts: np.ndarray, rep: np.ndarray, m: int) -> np.ndarray | None:
+    """Sorted distinct keys rep[u]*m + rep[v] of a Delaunay edge superset.
+
+    Each block of `_blocks` is triangulated on its own, and the seam points
+    of all blocks together once more.  A tree edge (a, b) across blocks
+    has both ends on the seam: its diametral disc holds no other point, so
+    its centre lies in a's cell, b within 2 rho_max of a, and b strictly
+    inside a's box unless a is a seam point (and likewise for b).  That
+    empty disc makes (a, b) a Gabriel edge of the seam set too.  Returns
+    None when some call does not triangulate every point it was given.
+    """
+    parts, seam = [], []
+    for idx, lo, hi in _blocks(upts):
+        tri = _delaunay(upts[idx])
+        if tri is None:
+            return None
+        parts.append(_triangle_keys(tri.simplices, rep[idx], m))
+        if len(idx) < len(upts):
+            seam.append(idx[_seam(upts[idx], tri, lo, hi)])
+        del tri  # before the next block's triangulation is built
+    if seam:
+        idx = np.sort(np.concatenate(seam))
+        tri = _delaunay(upts[idx])
+        if tri is None:
+            return None
+        parts.append(_triangle_keys(tri.simplices, rep[idx], m))
+    return _distinct(np.concatenate(parts))
+
+
 def _candidate_edges(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Candidate (u, v) pairs guaranteed to contain the (w, u, v) spanning tree.
 
     Duplicate coordinates attach to their representative, the smallest
     original index at that coordinate, through zero-length edges.  The
-    distinct points U are joined by their Delaunay edges when Qhull
-    triangulates every one of them, and otherwise (fewer than three
-    points, collinear sets, or a point Qhull reports as coplanar) by the
-    six-cone Yao graph of U, which contains the EMST (Yao 1982).  U is
-    ordered by representative index, so the Yao graph breaks distance
-    ties in the same order as (w, u, v).  Either way each pair comes out
-    once, as u < v in ascending key u*m + v: a sort of the keys and a
-    neighbour compare (`run_starts`) drop the repeats.
+    distinct points U are joined by Delaunay edges when Qhull triangulates
+    every point it is given, and otherwise (fewer than three points,
+    collinear blocks, or a point Qhull reports as coplanar) by the
+    six-cone Yao graph of U, which contains the EMST (Yao 1982).
+
+    Every edge of a (w, u, v) spanning tree is a strict Gabriel edge: no
+    other point lies in the closed disc on it as diameter, since such a
+    point would be strictly nearer to both ends (Gabriel & Sokal 1969).
+    Every Delaunay triangulation contains every such edge.  U of at most
+    `_DT_BLOCK` points is triangulated in one call; larger sets are split
+    into blocks, each triangulated on its own, and joined through the
+    triangulation of their seam points (`_delaunay_keys`, `_seam`).
+
+    U is ordered by representative index for the Yao graph, so it breaks
+    distance ties in the same order as (w, u, v).  Either way each pair
+    comes out once, as u < v in ascending key u*m + v.
     """
     m = len(S)
     uniq, inverse = np.unique(points_as_complex(S), return_inverse=True)
@@ -115,24 +249,12 @@ def _candidate_edges(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     zu, zv = rep_of[dup], dup
 
     upts = np.column_stack((uniq.real, uniq.imag))
-
-    try:
-        tri = Delaunay(upts)
-        whole = len(tri.coplanar) == 0
-    except QhullError:
-        whole = False
-    if whole:
-        sim = tri.simplices
-        pairs = rep[np.concatenate((sim[:, [0, 1]], sim[:, [1, 2]], sim[:, [2, 0]]), axis=0)]
-    else:
+    keys = _delaunay_keys(upts, rep, m)
+    if keys is None:
         by_rep = np.argsort(rep)
         yao = yao_bipartite(upts[by_rep], upts[by_rep])
-        pairs = rep[by_rep][np.column_stack((yao.p_idx, yao.s_idx))]
-
-    cu = np.minimum(pairs[:, 0], pairs[:, 1])
-    cv = np.maximum(pairs[:, 0], pairs[:, 1])
-    keys = np.sort(cu * np.int64(m) + cv)
-    keys = keys[run_starts(keys)]
+        r = rep[by_rep]
+        keys = _distinct(_pair_keys(r[yao.p_idx], r[yao.s_idx], m))
     cu, cv = keys // m, keys % m
     return np.concatenate((zu, cu)), np.concatenate((zv, cv))
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
@@ -126,8 +128,10 @@ CIRCLE = np.array(
 
 
 def degenerate_sets(rng):
-    """A lattice with duplicates, a cocircular set, and an integer-step collinear
-    set in a direction off both axes."""
+    """A lattice with duplicates, a cocircular set, an integer-step collinear
+    set in a direction off both axes, a 60-degree line, noisy points on a
+    circle, a thin Gaussian, and uniform sets at magnitudes 2**499 and
+    2**-400, alone and together."""
     m = int(rng.integers(2, 121))
     k = int(rng.integers(1, 8))
     yield rng.integers(-k, k + 1, (m, 2)).astype(float)
@@ -136,10 +140,30 @@ def degenerate_sets(rng):
     step = rng.integers(1, 6, 2) * rng.choice([-1, 1], 2)
     t = rng.choice(np.arange(-150, 150), m, replace=False)
     yield (rng.integers(-50, 51, 2) + t[:, None] * step).astype(float)
+    yield rng.permutation(m)[:, None] * np.array([np.cos(np.pi / 3), np.sin(np.pi / 3)]) * 1.7
+    t = rng.uniform(0, 2 * np.pi, m)
+    yield 30 * np.column_stack((np.cos(t), np.sin(t))) + rng.normal(0, 1e-3, (m, 2))
+    yield rng.normal(0, 1, (m, 2)) * [1.0, 1e-6]
+    sign = rng.choice([-1.0, 1.0], (m, 2))
+    big = sign * rng.uniform(0.5, 1, (m, 2)) * 2.0**499
+    tiny = sign * rng.uniform(1, 2, (m, 2)) * 2.0**-400
+    yield big
+    yield tiny
+    yield np.where(rng.random((m, 1)) < 0.5, big, tiny)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_weight_multisets_match_prim(seed):
+# _DT_BLOCK values below the set sizes, so the sets split into many blocks
+BLOCKS = (8, 16, 33)
+
+
+@pytest.mark.parametrize(
+    "seed, block",
+    [pytest.param(seed, None, id=str(seed)) for seed in range(6)]
+    + [pytest.param(seed, b, id=f"{seed}-block{b}") for b in BLOCKS for seed in range(6)],
+)
+def test_weight_multisets_match_prim(seed, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(emst, "_DT_BLOCK", block)
     rng = np.random.default_rng(100 + seed)
     for _ in range(12):
         m = int(rng.integers(2, 201))
@@ -236,17 +260,77 @@ def test_deterministic_tie_break():
     assert [(u, v) for u, v, _ in r.edges] == [(0, 1), (0, 3), (1, 2)]
 
 
-def test_near_duplicates_match_prim():
+def test_near_duplicates_match_prim(monkeypatch):
     # Pairs 1e-12 or 1e-14 apart make Qhull drop a point, so the Yao graph of
     # all points serves, with at most six edges per point.  In the lattice,
     # equal distances share a cone, where the Yao graph must prefer the
     # smaller index as (w, u, v) does (ordering the points in reverse
-    # changes that tree).
+    # changes that tree).  Each block size splits both sets differently.
     near = np.random.default_rng(3).uniform(0, 1, (200, 2))
     near[100:140] = near[:40] + 1e-12
     lattice = [(-1, 0), (-1, 3), (1, -3), (2, -2), (0, 2), (-2, -1)]
     lattice = np.array(lattice + [(7, 7), (7 + 1e-14, 7), (-7, 7), (-7, 7 + 1e-14)])
-    assert euclidean_mst(near).edges == mst_prim_reference(near).edges
-    assert euclidean_mst(lattice).edges == kruskal_all_pairs(lattice)
-    for S in (near, lattice):
-        assert len(emst._candidate_edges(S)[0]) <= 6 * len(S)
+    for block in (emst._DT_BLOCK,) + BLOCKS:
+        monkeypatch.setattr(emst, "_DT_BLOCK", block)
+        assert euclidean_mst(near).edges == mst_prim_reference(near).edges
+        assert euclidean_mst(lattice).edges == kruskal_all_pairs(lattice)
+        for S in (near, lattice):
+            assert len(emst._candidate_edges(S)[0]) <= 6 * len(S)
+
+
+def test_collinear_block_takes_the_six_cone_graph(monkeypatch):
+    # The 16 points on y = 0 form the lower block of the first split, and
+    # Qhull cannot triangulate them, so the whole set takes the Yao graph.
+    monkeypatch.setattr(emst, "_DT_BLOCK", 16)
+    rng = np.random.default_rng(21)
+    line = np.column_stack((rng.permutation(16) * 1.5, np.zeros(16)))
+    S = np.concatenate((rng.uniform((100, 0), (200, 50), (16, 2)), line))
+    real = emst.yao_bipartite
+    calls = []
+
+    def spy(P, Q):
+        calls.append(len(P))
+        return real(P, Q)
+
+    monkeypatch.setattr(emst, "yao_bipartite", spy)
+    r = euclidean_mst(S)
+    assert calls == [32]
+    assert np.array_equal(r.edge_w, mst_prim_reference(S).edge_w)
+    assert r.edges == kruskal_all_pairs(S)
+    assert len(emst._candidate_edges(S)[0]) <= 6 * len(S)
+
+
+def test_seam_radius_survives_extreme_magnitudes():
+    # rho is computed on coordinates scaled by a power of two: no overflow
+    # at 2**499, no underflow at 2**-400, and the same seam at every scale.
+    rng = np.random.default_rng(5)
+    base = rng.uniform(-1, 1, (40, 2))
+    tri = emst._delaunay(base)
+    hull = np.zeros(len(base), dtype=bool)
+    hull[tri.convex_hull] = True
+    lo, hi = np.array([-0.5, -np.inf]), np.full(2, np.inf)
+    want = emst._seam(base, tri, lo, hi)
+    assert hull.any() and (want & ~hull).any() and not want.all()
+    for scale in (2.0**499, 2.0**-400):
+        with np.errstate(all="raise"):
+            assert np.array_equal(emst._seam(base * scale, tri, -hi, hi), hull)
+            assert np.array_equal(emst._seam(base * scale, tri, lo * scale, hi), want)
+
+
+def test_peak_memory_of_the_candidate_edges_stays_bounded():
+    # A blob-shaped set of 2**15 points: half in a disc of radius 60, half
+    # uniform over the square.  One Delaunay call over all of it peaked at
+    # about 15 MB of numpy memory; blocks of _DT_BLOCK points at about 7.
+    rng = np.random.default_rng(2024)
+    m = 2**15
+    r = 60 * np.sqrt(rng.uniform(0, 1, m // 2))
+    t = rng.uniform(0, 2 * np.pi, m // 2)
+    disc = 500 + np.column_stack((r * np.cos(t), r * np.sin(t)))
+    S = np.concatenate((disc, rng.uniform(0, 1000, (m // 2, 2))))
+    tracemalloc.start()
+    try:
+        emst._candidate_edges(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * 2**20
