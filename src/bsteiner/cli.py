@@ -40,9 +40,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_decide(args) -> int:
-    ctx = preprocess(*_read_instance(args))
-    if not args.lam > 0:
+    if not args.lam > 0:  # rejects NaN too, before the costly preprocessing
         raise ValueError("threshold must be positive")
+    ctx = preprocess(*_read_instance(args))
     J = compare_to_optimal(ctx, args.lam * args.lam)
     print(f"J = {sorted(J)}")
     print("lambda* < lambda" if J else "lambda* >= lambda")

@@ -5,7 +5,8 @@ apart into components once every edge at least as long as the threshold
 is removed.  A component is a viable attachment target when every
 terminal reaches it through some cone edge strictly shorter than the
 threshold; the set of such components is non-empty exactly when the
-optimal bottleneck is strictly below the threshold.
+optimal bottleneck is strictly below the threshold.  The cone edges are
+read row by row from the Yao graph's (n, 6) table.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from scipy.sparse.csgraph import connected_components
 
 from .emst import EmstResult, sparse_graph
 from .yao import YaoGraph
-
-MAX_CANDIDATES = 6
 
 
 @dataclass(frozen=True)
@@ -59,27 +58,13 @@ def forest_components(emst: EmstResult, threshold: float) -> ComponentLabeling:
 def candidate_components(ctx: SolverContext, labeling: ComponentLabeling) -> frozenset:
     """Components that every terminal can enter below the labeling threshold.
 
-    Seeds with the components reachable from terminal 0 (at most six, one
-    per cone edge) and keeps those covered by all remaining terminals.
+    Seeds with the components reachable from row 0 of the cone table (at
+    most six, one per cone) and keeps those that some cell of every row
+    reaches.
     """
-    yao = ctx.yao
-    n = len(ctx.P)
-    label = labeling.label
-    qual = yao.w < labeling.threshold
-    edge_label = label[yao.s_idx]
-
-    end0 = int(np.searchsorted(yao.p_idx, 0, side="right"))
-    seeds = np.unique(edge_label[:end0][qual[:end0]])
-    assert len(seeds) <= MAX_CANDIDATES
-    kept = []
-    for j in seeds.tolist():
-        mask = qual & (edge_label == j)
-        covered = np.zeros(n, dtype=bool)
-        covered[yao.p_idx[mask]] = True
-        if covered.all():
-            kept.append(int(j))
-    assert len(kept) <= MAX_CANDIDATES
-    return frozenset(kept)
+    cells = ctx.yao.cell_labels(labeling.label, labeling.threshold)
+    seeds = np.unique(cells[0][cells[0] >= 0])
+    return frozenset(j for j in seeds.tolist() if (cells == j).any(axis=1).all())
 
 
 def compare_to_optimal(ctx: SolverContext, threshold: float) -> frozenset:

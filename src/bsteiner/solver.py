@@ -4,8 +4,9 @@ Pipeline: spanning tree of the candidate set plus the six-cone terminal
 graph, a binary search over the distinct tree edge weights driven by the
 threshold decision procedure, then assembly of the at most six candidate
 trees and selection of the one with the smallest bottleneck.  The search
-starts above the attach lower bound max_p min_cone w(p, s), below which
-no threshold can succeed.  All weights are squared lengths end to end.
+starts above the attach lower bound max_p min_cone w(p, s), the largest
+row minimum of the Yao graph's (n, 6) table, below which no threshold can
+succeed.  All weights are squared lengths end to end.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .decision import (
     candidate_components,
     forest_components,
 )
-from .emst import euclidean_mst, run_starts, sparse_graph
+from .emst import euclidean_mst, sparse_graph
 from .geometry import as_points, check_disjoint, pair_squared_distances
 from .yao import yao_bipartite
 
@@ -94,10 +95,8 @@ def binary_search_threshold(ctx: SolverContext) -> int:
     so this also skips the zero threshold that duplicate candidates put
     first.
     """
-    yao = ctx.yao
-    # every terminal has a cone edge (its nearest candidate lies in some
-    # cone), and the edges come grouped by terminal
-    attach = np.minimum.reduceat(yao.w, np.flatnonzero(run_starts(yao.p_idx))).max()
+    # every row holds a finite cell: a terminal's nearest candidate lies in some cone
+    attach = ctx.yao.best_w.min(axis=1).max()
     thresholds = ctx.emst.thresholds
     k = len(thresholds)
     lo = int(np.searchsorted(thresholds, attach, side="right")) + 1
@@ -118,8 +117,8 @@ def build_tree_for_component(
     """Assemble the full Steiner tree anchored on component j.
 
     The skeleton is every surviving spanning-tree edge inside the
-    component; each terminal takes its shortest qualifying cone edge into
-    the component (ties on length broken by candidate index).
+    component; each terminal takes the shortest qualifying cell of its
+    row of the cone table (ties on length broken by candidate index).
     """
     if not 0 <= j < labeling.component_count:
         raise ValueError("component not feasible at lambda")
@@ -135,18 +134,11 @@ def build_tree_for_component(
     skel_w = ew[keep]
 
     yao = ctx.yao
-    qual = (yao.w < threshold) & (label[yao.s_idx] == j)
-    p = yao.p_idx[qual]
-    s = yao.s_idx[qual]
-    w = yao.w[qual]
-    # the edges stay grouped by terminal: one run per terminal that attaches
-    starts = run_starts(p)
-    first = np.flatnonzero(starts)
-    if len(first) != len(ctx.P):
+    w = np.where(yao.cell_labels(label, threshold) == j, yao.best_w, np.inf)
+    ext_w = w.min(axis=1)
+    if not np.isfinite(ext_w).all():
         raise ValueError("component not feasible at lambda")
-    ext_w = np.minimum.reduceat(w, first)
-    tied = w == ext_w[np.cumsum(starts) - 1]
-    ext = np.minimum.reduceat(np.where(tied, s, len(ctx.S)), first)
+    ext = np.where(w == ext_w[:, None], yao.best_s, len(ctx.S)).min(axis=1)
 
     b = float(max(np.max(skel_w, initial=0.0), ext_w.max()))
     return FullSteinerTree(ctx.P, ctx.S, comp, skeleton, ext, b)
@@ -176,14 +168,12 @@ def solve(P, S) -> SolveReport:
     t2 = time.perf_counter_ns()
     labeling = forest_components(ctx.emst, lam)
     J = candidate_components(ctx, labeling)
-    best = None
-    for j in sorted(J):
-        tree = build_tree_for_component(ctx, labeling, j, lam)
-        if best is None or tree.bottleneck < best[0].bottleneck:
-            best = (tree, j)
-    assert best is not None
+    # the first minimum is the smallest label among equal bottlenecks
+    tree, j = min(
+        ((build_tree_for_component(ctx, labeling, j, lam), j) for j in sorted(J)),
+        key=lambda tj: tj[0].bottleneck,
+    )
     t3 = time.perf_counter_ns()
-    tree, j = best
     return SolveReport(
         tree=tree,
         lambda_star=tree.bottleneck,

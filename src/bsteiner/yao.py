@@ -4,16 +4,16 @@ Around every terminal the plane splits into six half-open 60-degree cones.
 Each cone that contains at least one candidate point contributes exactly one
 edge, to the Euclidean-nearest candidate inside the cone (ties broken by the
 smallest candidate index).  Terminals therefore carry at most six edges,
-and the whole graph has at most 6n edges.
+and the graph is kept as its (n, 6) cone table, `YaoGraph`.
 
-Two constructions share the same output contract: `yao_bruteforce` scans all
+Two constructions fill the same table: `yao_bruteforce` scans all
 candidate points per terminal, `yao_bipartite` accelerates the search with
 one k-d tree over the candidates, which serves both its kNN rounds and its
 exact cone search.  The rounds visit the terminals in Z-order and reduce
 each round's neighbor lists in fixed-size row blocks, so their working set
 beyond the query's own output stays bounded.  Both constructions classify
 cones and measure distances through the shared routines in `geometry`, so
-their edge sets are identical bit for bit.
+their tables are identical bit for bit.
 
 A candidate that coincides with the terminal lies in no cone, so an
 overlapping pair yields no edge.  The solver never meets one, because
@@ -69,55 +69,70 @@ _BLOCK = 1 << 15
 
 @dataclass(frozen=True)
 class YaoGraph:
-    """Flat edge arrays sorted by (terminal, cone)."""
+    """The graph as its (n, 6) cone table, one row per terminal.
 
-    terminal_count: int
+    `best_w[p, c]` is the squared length of the edge in cone c of
+    terminal p and `best_s[p, c]` its candidate index; an empty cone holds
+    inf and `candidate_count`.  The flat views `p_idx`, `s_idx`, `cone`
+    and `w` list the non-empty cells in row-major order, that is sorted
+    by (terminal, cone).
+    """
+
     candidate_count: int
-    p_idx: np.ndarray
-    s_idx: np.ndarray
-    cone: np.ndarray
-    w: np.ndarray
+    best_w: np.ndarray
+    best_s: np.ndarray
+
+    @property
+    def terminal_count(self) -> int:
+        return len(self.best_s)
+
+    @property
+    def _filled(self) -> np.ndarray:
+        return self.best_s < self.candidate_count
+
+    @property
+    def p_idx(self) -> np.ndarray:
+        return np.nonzero(self._filled)[0].astype(np.int64)
+
+    @property
+    def cone(self) -> np.ndarray:
+        return np.nonzero(self._filled)[1].astype(np.int64)
+
+    @property
+    def s_idx(self) -> np.ndarray:
+        return self.best_s[self._filled]
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.best_w[self._filled]
 
     def edge_count(self) -> int:
-        return len(self.p_idx)
+        return int(np.count_nonzero(self._filled))
 
     def degrees(self) -> np.ndarray:
         """Number of edges per terminal."""
-        return np.bincount(self.p_idx, minlength=self.terminal_count)
+        return np.count_nonzero(self._filled, axis=1)
 
     def edges_of(self, p: int) -> list[tuple[int, int, float]]:
         """Edges (s, cone, squared length) of one terminal."""
-        lo = np.searchsorted(self.p_idx, p, side="left")
-        hi = np.searchsorted(self.p_idx, p, side="right")
-        return list(
-            zip(
-                self.s_idx[lo:hi].tolist(),
-                self.cone[lo:hi].tolist(),
-                self.w[lo:hi].tolist(),
-            )
-        )
+        c = np.flatnonzero(self._filled[p])
+        return list(zip(self.best_s[p, c].tolist(), c.tolist(), self.best_w[p, c].tolist()))
+
+    def cell_labels(self, label: np.ndarray, threshold: float) -> np.ndarray:
+        """(n, 6) label of each cell's candidate, -1 unless its edge is shorter than threshold.
+
+        An empty cone's length is inf, never below a threshold, so its
+        out-of-range index may be clipped.
+        """
+        return np.where(self.best_w < threshold, label.take(self.best_s, mode="clip"), -1)
 
 
 def same_edges(a: YaoGraph, b: YaoGraph) -> bool:
-    """Exact edge-for-edge equality of two graphs."""
+    """Exact cell-for-cell equality of two graphs."""
     return (
-        a.terminal_count == b.terminal_count
-        and np.array_equal(a.p_idx, b.p_idx)
-        and np.array_equal(a.s_idx, b.s_idx)
-        and np.array_equal(a.cone, b.cone)
-        and np.array_equal(a.w, b.w)
-    )
-
-
-def _graph_from_best(n: int, m: int, best_w: np.ndarray, best_s: np.ndarray) -> YaoGraph:
-    rows, cols = np.nonzero(best_s < m)  # row-major: sorted by (terminal, cone)
-    return YaoGraph(
-        n,
-        m,
-        rows.astype(np.int64),
-        best_s[rows, cols],
-        cols.astype(np.int64),
-        best_w[rows, cols],
+        a.candidate_count == b.candidate_count
+        and np.array_equal(a.best_s, b.best_s)
+        and np.array_equal(a.best_w, b.best_w)
     )
 
 
@@ -142,7 +157,7 @@ def yao_bruteforce(P, S) -> YaoGraph:
             wmin = ds.min()
             best_w[i, c] = wmin
             best_s[i, c] = sel[ds == wmin].min()
-    return _graph_from_best(n, m, best_w, best_s)
+    return YaoGraph(m, best_w, best_s)
 
 
 def _box_min_sqdist(ax: float, ay: float, box) -> float:
@@ -389,4 +404,4 @@ def yao_bipartite(P, S) -> YaoGraph:
             kdtree, P[i], c, float(best_w[i, c]), int(best_s[i, c])
         )
 
-    return _graph_from_best(n, m, best_w, best_s)
+    return YaoGraph(m, best_w, best_s)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bsteiner import solver
+from bsteiner import cli, solver
 from bsteiner.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -55,6 +55,15 @@ def test_decide_verdicts(instance_file, capsys):
 
 def test_decide_rejects_bad_threshold(instance_file, capsys):
     assert main(["decide", "--input", str(instance_file), "--lambda", "-2"]) == 2
+
+
+@pytest.mark.parametrize("lam", ["0", "-1", "nan"])
+def test_decide_rejects_bad_threshold_before_preprocessing(instance_file, monkeypatch, capsys, lam):
+    calls = []
+    monkeypatch.setattr(cli, "preprocess", lambda *a: calls.append(a))
+    assert main(["decide", "--input", str(instance_file), "--lambda", lam]) == 2
+    assert "threshold must be positive" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_oracle_agrees_with_solve(instance_file, capsys):

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsteiner.generators import gen_maxgap_instance, gen_random_instance
 from bsteiner.geometry import cone_indices, squared_distance_matrix
@@ -334,3 +336,70 @@ def test_peak_memory_of_one_call_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+def _line(degrees):
+    a = np.radians(degrees)
+    return [(t * np.cos(a), t * np.sin(a)) for t in range(-10, 11)]
+
+
+_HALVES = [-0.0] + [k / 2 for k in range(-6, 7)]
+_CIRCLE = [(x, y) for x in range(-5, 6) for y in range(-5, 6) if x * x + y * y == 25]
+# point pools a set draws from with repetition, so candidates and
+# terminals repeat; the lattice holds both 0.0 and -0.0, and so does the
+# line at 0 degrees (t * 0.0 for negative t)
+DEGENERATE_POOLS = {
+    "lattice": [(x, y) for x in _HALVES for y in _HALVES],
+    "line0": _line(0),
+    "line60": _line(60),
+    "line120": _line(120),
+    "circle": _CIRCLE + [(0, 0)],  # 12 exactly cocircular points and their center
+}
+
+
+def _to_magnitude(P, S, exponent):
+    """P and S times one power of two: the largest magnitude lands in
+    [2**498, 2**499) for exponent 499, the smallest non-zero one in
+    [2**-400, 2**-399) for exponent -400."""
+    mag = np.abs(np.concatenate((P, S)))
+    if exponent is None or not mag.any():
+        return P, S
+    ref = mag.max() if exponent > 0 else mag[mag > 0].min()
+    e = int(np.frexp(ref)[1])  # 2**(e-1) <= ref < 2**e
+    shift = exponent - e if exponent > 0 else exponent + 1 - e
+    return np.ldexp(P, shift), np.ldexp(S, shift)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_table_matches_bruteforce_on_degenerate_sets(data):
+    pool = data.draw(st.sampled_from(sorted(DEGENERATE_POOLS)))
+    points = st.lists(st.sampled_from(DEGENERATE_POOLS[pool]), min_size=1, max_size=40)
+    P, S = _to_magnitude(
+        np.array(data.draw(points), dtype=float),
+        np.array(data.draw(points), dtype=float),
+        data.draw(st.sampled_from([None, 499, -400])),
+    )
+    n, m = len(P), len(S)
+    a, b = yao_bruteforce(P, S), yao_bipartite(P, S)
+    assert b.best_w.shape == b.best_s.shape == (n, 6)
+    assert np.array_equal(a.best_w, b.best_w) and np.array_equal(a.best_s, b.best_s)
+    with pytest.MonkeyPatch.context() as mp:
+        force_fallback(mp, 2, 4, 3)  # cones left open go to the proof and the search
+        assert same_edges(a, yao_bipartite(P, S))
+    assert np.array_equal(b.best_s == m, b.best_w == np.inf)
+    cells = [(p, c) for p in range(n) for c in range(6) if b.best_w[p, c] < np.inf]
+    flat = {
+        "p_idx": [p for p, _ in cells],
+        "cone": [c for _, c in cells],
+        "s_idx": [b.best_s[p, c] for p, c in cells],
+        "w": [b.best_w[p, c] for p, c in cells],
+    }
+    for name, want in flat.items():
+        got = getattr(b, name)
+        assert got.dtype == (np.float64 if name == "w" else np.int64)
+        assert got.tolist() == want
+    assert b.edge_count() == len(cells)
+    assert b.degrees().tolist() == [sum(p == i for p, _ in cells) for i in range(n)]
+    edges = [e for i in range(n) for e in b.edges_of(i)]
+    assert edges == list(zip(flat["s_idx"], flat["cone"], flat["w"]))
