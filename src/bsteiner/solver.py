@@ -25,7 +25,7 @@ from .decision import (
 )
 from .emst import euclidean_mst, sparse_graph
 from .geometry import as_points, check_disjoint, pair_squared_distances
-from .yao import yao_bipartite
+from .yao import row_min, yao_bipartite
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def binary_search_threshold(ctx: SolverContext) -> int:
     first.
     """
     # every row holds a finite cell: a terminal's nearest candidate lies in some cone
-    attach = ctx.yao.best_w.min(axis=1).max()
+    attach = row_min(ctx.yao.best_w).max()
     thresholds = ctx.emst.thresholds
     k = len(thresholds)
     lo = int(np.searchsorted(thresholds, attach, side="right")) + 1
@@ -135,10 +135,10 @@ def build_tree_for_component(
 
     yao = ctx.yao
     w = np.where(yao.cell_labels(label, threshold) == j, yao.best_w, np.inf)
-    ext_w = w.min(axis=1)
+    ext_w = row_min(w)
     if not np.isfinite(ext_w).all():
         raise ValueError("component not feasible at lambda")
-    ext = np.where(w == ext_w[:, None], yao.best_s, len(ctx.S)).min(axis=1)
+    ext = row_min(np.where(w == ext_w[:, None], yao.best_s, len(ctx.S)))
 
     b = float(max(np.max(skel_w, initial=0.0), ext_w.max()))
     return FullSteinerTree(ctx.P, ctx.S, comp, skeleton, ext, b)

@@ -24,6 +24,7 @@ where every point is its own apex.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -125,6 +126,15 @@ class YaoGraph:
         out-of-range index may be clipped.
         """
         return np.where(self.best_w < threshold, label.take(self.best_s, mode="clip"), -1)
+
+
+def row_min(table: np.ndarray) -> np.ndarray:
+    """Minimum of each row of an (n, 6) cone table, equal to `table.min(axis=1)`.
+
+    Reduces the six columns pairwise, which NumPy does several times
+    faster than a reduction along the short axis.
+    """
+    return functools.reduce(np.minimum, table.T)
 
 
 def same_edges(a: YaoGraph, b: YaoGraph) -> bool:

@@ -1,3 +1,7 @@
+import multiprocessing
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -298,6 +302,140 @@ def test_collinear_block_takes_the_six_cone_graph(monkeypatch):
     assert np.array_equal(r.edge_w, mst_prim_reference(S).edge_w)
     assert r.edges == kruskal_all_pairs(S)
     assert len(emst._candidate_edges(S)[0]) <= 6 * len(S)
+
+
+def spy_delaunay(monkeypatch, on_helper=None):
+    """Record (event, thread id, result) around every `_delaunay` call.
+
+    `on_helper`, if given, runs before each call made off the calling
+    thread."""
+    real, caller = emst._delaunay, threading.get_ident()
+    events = []
+
+    def spy(pts):
+        me = threading.get_ident()
+        events.append(("enter", me, None))
+        if on_helper is not None and me != caller:
+            on_helper()
+        tri = real(pts)
+        events.append(("return", me, tri))
+        return tri
+
+    monkeypatch.setattr(emst, "_delaunay", spy)
+    return events
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_blocks_are_triangulated_on_one_helper_thread(block, monkeypatch):
+    monkeypatch.setattr(emst, "_DT_BLOCK", block)
+    events = spy_delaunay(monkeypatch)
+    rng = np.random.default_rng(block)
+    for m in (block + 1, 120, 201):
+        S = rng.uniform(0, 50, (m, 2))
+        assert euclidean_mst(S).edges == kruskal_all_pairs(S)
+    # the caller and exactly one helper, which is kept across calls
+    assert len({ident for _, ident, _ in events}) == 2
+
+
+def test_helper_returns_before_the_six_cone_fallback(monkeypatch):
+    # The collinear line is the first block of the only pair; the helper's
+    # block is slowed down, and still returns before the Yao graph starts.
+    monkeypatch.setattr(emst, "_DT_BLOCK", 16)
+    events = spy_delaunay(monkeypatch, on_helper=lambda: time.sleep(0.2))
+    rng = np.random.default_rng(21)
+    line = np.column_stack((rng.permutation(16) * 1.5, np.zeros(16)))
+    S = np.concatenate((rng.uniform((100, 0), (200, 50), (16, 2)), line))
+    real = emst.yao_bipartite
+
+    def spy_yao(P, Q):
+        events.append(("yao", threading.get_ident(), None))
+        return real(P, Q)
+
+    monkeypatch.setattr(emst, "yao_bipartite", spy_yao)
+    r = euclidean_mst(S)
+    assert r.edges == kruskal_all_pairs(S)
+    kinds = [kind for kind, _, _ in events]
+    assert kinds.count("enter") == kinds.count("return") == 2
+    assert kinds[-1] == "yao"
+    returned = {ident: tri for kind, ident, tri in events if kind == "return"}
+    caller = threading.get_ident()
+    assert returned.pop(caller) is None
+    assert [tri is not None for tri in returned.values()] == [True]
+
+
+def test_helper_exception_reaches_the_caller_unchanged(monkeypatch):
+    monkeypatch.setattr(emst, "_DT_BLOCK", 16)
+    error = RuntimeError("raised on the helper")
+
+    def fail():
+        raise error
+
+    events = spy_delaunay(monkeypatch, on_helper=fail)
+    S = np.random.default_rng(4).uniform(0, 50, (40, 2))
+    with pytest.raises(RuntimeError) as info:
+        euclidean_mst(S)
+    assert info.value is error
+    # the caller's own block of the pair finished before the error surfaced
+    assert sorted(kind for kind, _, _ in events) == ["enter", "enter", "return"]
+    assert [ident for kind, ident, _ in events if kind == "return"] == [threading.get_ident()]
+
+
+def test_concurrent_callers_share_one_helper(monkeypatch):
+    # Four callers race to create the helper under a tiny switch interval:
+    # they share one helper thread, and each gets the exact tree.
+    monkeypatch.setattr(emst, "_DT_BLOCK", 16)
+    monkeypatch.setattr(emst, "_helper", None)
+    events = spy_delaunay(monkeypatch)
+    S = np.random.default_rng(9).uniform(0, 50, (120, 2))
+    want = kruskal_all_pairs(S)
+    got, callers = {}, set()
+
+    def run(i):
+        callers.add(threading.get_ident())
+        got[i] = euclidean_mst(S).edges
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+        if emst._helper is not None:
+            emst._helper.shutdown()
+    assert not any(t.is_alive() for t in threads)
+    assert got == {i: want for i in range(4)}
+    assert len({ident for _, ident, _ in events} - callers) == 1
+
+
+def _edges_in_child(S, conn):
+    conn.send(euclidean_mst(S).edges)
+    conn.close()
+
+
+def test_forked_child_gets_its_own_helper(monkeypatch):
+    # A child forked after the parent used the helper inherits the executor
+    # but not its thread; submitting to it would wait forever.
+    monkeypatch.setattr(emst, "_DT_BLOCK", 16)
+    S = np.random.default_rng(8).uniform(0, 50, (100, 2))
+    want = euclidean_mst(S).edges
+    assert emst._helper is not None
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_edges_in_child, args=(S, send))
+    child.start()
+    try:
+        assert recv.poll(60), "the forked child did not finish"
+        assert recv.recv() == want
+        child.join(10)
+        assert not child.is_alive() and child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(10)
 
 
 def test_seam_radius_survives_extreme_magnitudes():

@@ -9,7 +9,7 @@ from bsteiner.generators import gen_maxgap_instance, gen_random_instance
 from bsteiner.geometry import cone_indices, squared_distance_matrix
 from bsteiner.solver import validate_instance
 from bsteiner import yao
-from bsteiner.yao import same_edges, yao_bipartite, yao_bruteforce
+from bsteiner.yao import row_min, same_edges, yao_bipartite, yao_bruteforce
 
 
 def test_single_candidate():
@@ -27,6 +27,19 @@ def test_two_cones_split():
     g = yao_bruteforce([(0, 0)], [(1, 0.5), (1, -0.5)])
     assert g.cone.tolist() == [0, 5]
     assert g.s_idx.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_row_min_equals_min_along_rows(n):
+    rng = np.random.default_rng(n)
+    w = rng.integers(0, 4, (n, 6)).astype(float)
+    w[rng.random((n, 6)) < 0.4] = np.inf  # empty cones
+    w[: n // 7] = np.inf  # rows of empty cones only
+    s = rng.integers(0, 50, (n, 6))
+    for table in (w, s, np.where(w == row_min(w)[:, None], s, 50)):
+        got = row_min(table)
+        assert got.dtype == table.dtype
+        assert np.array_equal(got, table.min(axis=1))
 
 
 def force_fallback(monkeypatch, knn_start, knn_cap, leaf_size):
