@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .emst import EmstResult, sparse_graph
-from .yao import YaoGraph
+from .yao import YaoGraph, row_any
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def candidate_components(ctx: SolverContext, labeling: ComponentLabeling) -> fro
     """
     cells = ctx.yao.cell_labels(labeling.label, labeling.threshold)
     seeds = np.unique(cells[0][cells[0] >= 0])
-    return frozenset(j for j in seeds.tolist() if (cells == j).any(axis=1).all())
+    return frozenset(j for j in seeds.tolist() if row_any(cells == j).all())
 
 
 def compare_to_optimal(ctx: SolverContext, threshold: float) -> frozenset:

@@ -115,8 +115,9 @@ def cone_indices_from_deltas(dx, dy) -> np.ndarray:
     funnels through here, so boundary rounding cannot diverge.
 
     The specification is `(arctan2(dy, dx) % TWO_PI) // CONE_ANGLE % 6`,
-    and this computes the same integer with one sorted lookup of t =
-    arctan2(dy, dx) in [-pi, pi] instead of a float modulo and division.
+    and this computes the same integer by counting the six sorted bounds
+    at or below t = arctan2(dy, dx) in [-pi, pi], one comparison each,
+    instead of a float modulo and division.
     `t % TWO_PI` is fmod(t, TWO_PI) = t, exact because |t| < TWO_PI, plus
     TWO_PI where t < 0: theta = t + TWO_PI there, rounded once, and t
     elsewhere (t = -0.0 lands in cone 0 either way).  For 0 <= theta <=
@@ -134,7 +135,19 @@ def cone_indices_from_deltas(dx, dy) -> np.ndarray:
     rounds to R_j or above (`_negative_start`).  Those six bounds, in
     order, split [-pi, pi] into the slots of `_SLOT_CONE`.
     """
-    return _SLOT_CONE[np.searchsorted(_T_BOUNDS, np.arctan2(dy, dx), side="right")]
+    return _cone_of_angle(np.arctan2(dy, dx))
+
+
+def _cone_of_angle(t) -> np.ndarray:
+    """Cone index of each angle t in [-pi, pi]: the slot of t among `_T_BOUNDS`.
+
+    Counts the bounds at or below t with six comparisons, which equals
+    `np.searchsorted(_T_BOUNDS, t, side="right")` and is several times faster.
+    """
+    slot = np.zeros(np.shape(t), dtype=np.uint8)
+    for bound in _T_BOUNDS:
+        slot += bound <= t
+    return _SLOT_CONE[slot]
 
 
 def cone_indices(apex, targets: np.ndarray) -> np.ndarray:

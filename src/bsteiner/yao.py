@@ -8,12 +8,23 @@ and the graph is kept as its (n, 6) cone table, `YaoGraph`.
 
 Two constructions fill the same table: `yao_bruteforce` scans all
 candidate points per terminal, `yao_bipartite` accelerates the search with
-one k-d tree over the candidates, which serves both its kNN rounds and its
-exact cone search.  The rounds visit the terminals in Z-order and reduce
-each round's neighbor lists in fixed-size row blocks, so their working set
-beyond the query's own output stays bounded.  Both constructions classify
-cones and measure distances through the shared routines in `geometry`, so
-their tables are identical bit for bit.
+one k-d tree over the candidates in three steps.  One kNN round, with the
+terminals in Z-order and its neighbor lists reduced in fixed-size row
+blocks, settles most cells.  A proof from one sort of the candidates per
+cone settles the open cones that hold no candidate.  One batched exact
+search of the same tree settles the rest: it walks the tree's leaf boxes
+level by level for all open cells at once, pruning by distance and by the
+cone's two half-planes, and classifies the leaf points in NumPy.  Both
+constructions classify cones and measure distances through the shared
+routines in `geometry`, so their tables are identical bit for bit.
+
+The search is what degenerate sets exercise.  On a 2-core machine
+`yao_bipartite(S, S)` takes about 0.46 s on 2**12 points of a circle, and
+it grows 3-4x per doubling there (1.7 s at 2**13, 5.1 s at 2**14),
+because the cones nearly tangent to the circle meet the leaf boxes along
+the arc.  On a line of points at 60 degrees, where rounding leaves cones
+that no proof can settle, it takes about 0.07 s at 2**12 and 1.05 s at
+2**16, with doubling ratios of 1.7-2.5.
 
 A candidate that coincides with the terminal lies in no cone, so an
 overlapping pair yields no edge.  The solver never meets one, because
@@ -34,7 +45,6 @@ from scipy.spatial import cKDTree
 from .geometry import (
     CONE_ANGLE,
     NUM_CONES,
-    TWO_PI,
     as_points,
     check_disjoint,  # noqa: F401  (unused here; the benchmark tracer rebinds yao.check_disjoint)
     cone_indices,
@@ -42,14 +52,14 @@ from .geometry import (
     squared_distances,
 )
 
-# The kNN rounds start at k = _KNN_START and quadruple k up to _KNN_CAP;
-# cones still open after that go to the exact cone search.
+# The kNN round fetches k = _KNN_START neighbors per terminal; cones it
+# leaves open go to the emptiness proof and then to the exact cone search.
 _KNN_START = 32
-_KNN_CAP = 512
 # Leaf size of the k-d tree over S, chosen by measurement on a 2-core
-# machine.  Against scipy's default of 16, 64 makes the cone search along a
-# line of 2**13 points at 60 degrees about 4x faster and leaves the kNN
-# rounds at 2**19 points level; 128 and 256 slow those rounds by 10-30 %.
+# machine.  Against scipy's default of 16, 64 leaves the kNN round at 2**19
+# points level, and 128 and 256 slow it by 10-30 %.  The batched cone
+# search is about as fast with leaves of 16 to 64 points (62-72 ms along a
+# line of 2**13 points at 60 degrees, 0.48-0.52 s on a circle of 2**12).
 _LEAF_SIZE = 64
 # A kNN round uses every core only when it fetches at least this many
 # neighbors.  Smaller rounds take a few ms, and split over threads they
@@ -137,6 +147,14 @@ def row_min(table: np.ndarray) -> np.ndarray:
     return functools.reduce(np.minimum, table.T)
 
 
+def row_any(mask: np.ndarray) -> np.ndarray:
+    """Whether each row of an (n, 6) boolean table holds a True, equal to `mask.any(axis=1)`.
+
+    Reduces the six columns pairwise, like `row_min`.
+    """
+    return functools.reduce(np.logical_or, mask.T)
+
+
 def same_edges(a: YaoGraph, b: YaoGraph) -> bool:
     """Exact cell-for-cell equality of two graphs."""
     return (
@@ -170,97 +188,19 @@ def yao_bruteforce(P, S) -> YaoGraph:
     return YaoGraph(m, best_w, best_s)
 
 
-def _box_min_sqdist(ax: float, ay: float, box) -> float:
-    x0, x1, y0, y1 = box
-    dx = x0 - ax if ax < x0 else (ax - x1 if ax > x1 else 0.0)
-    dy = y0 - ay if ay < y0 else (ay - y1 if ay > y1 else 0.0)
-    return dx * dx + dy * dy
-
-
-_ANGLE_SLACK = 1e-9
-
-
-def _cone_box_overlap(ax: float, ay: float, cone: int, box) -> bool:
-    """Conservative test whether a cone with apex (ax, ay) can meet the box."""
-    x0, x1, y0, y1 = box
-    if x0 <= ax <= x1 and y0 <= ay <= y1:
-        return True
-    a0 = math.atan2(y0 - ay, x0 - ax)
-    rel1 = (math.atan2(y0 - ay, x1 - ax) - a0 + math.pi) % TWO_PI - math.pi
-    rel2 = (math.atan2(y1 - ay, x1 - ax) - a0 + math.pi) % TWO_PI - math.pi
-    rel3 = (math.atan2(y1 - ay, x0 - ax) - a0 + math.pi) % TWO_PI - math.pi
-    rmin = min(0.0, rel1, rel2, rel3)
-    rmax = max(0.0, rel1, rel2, rel3)
-    box_center = a0 + 0.5 * (rmin + rmax)
-    box_half = 0.5 * (rmax - rmin)
-    cone_center = (cone + 0.5) * CONE_ANGLE
-    gap = abs((box_center - cone_center + math.pi) % TWO_PI - math.pi)
-    return gap <= box_half + 0.5 * CONE_ANGLE + _ANGLE_SLACK
-
-
-def _cone_query(
-    kdtree: cKDTree,
-    apex: np.ndarray,
-    cone: int,
-    seed_w: float,
-    seed_s: int,
-) -> tuple[float, int]:
-    """Exact nearest candidate inside one cone, starting from a seed bound.
-
-    Walks the nodes of the k-d tree the kNN rounds built.  The root's box
-    is the tree's bounding box, and each child takes its parent's box cut
-    at the split; the cut is closed on both sides, because a point on the
-    split plane can sit in either child.  Boxes are pruned when they
-    cannot intersect the cone or when their minimum distance strictly
-    exceeds the best bound; equal distances are still explored so index
-    tie-breaks stay exact.
-    """
-    best_w, best_s = seed_w, seed_s
-    ax, ay = float(apex[0]), float(apex[1])
-    pts = kdtree.data
-    perm = kdtree.indices
-    (x0, y0), (x1, y1) = kdtree.mins.tolist(), kdtree.maxes.tolist()
-    stack = [(kdtree.tree, (x0, x1, y0, y1))]
-    while stack:
-        node, box = stack.pop()
-        if _box_min_sqdist(ax, ay, box) > best_w:
-            continue
-        if not _cone_box_overlap(ax, ay, cone, box):
-            continue
-        if node.split_dim < 0:
-            idx = perm[node.start_idx : node.end_idx]
-            sub = pts[idx]
-            w = squared_distances(sub, apex)
-            inside = (cone_indices(apex, sub) == cone) & (w > 0)
-            cand = (w < best_w) | ((w == best_w) & (idx < best_s))
-            sel = np.flatnonzero(inside & cand)
-            if sel.size:
-                ws = w[sel]
-                wmin = ws.min()
-                smin = int(idx[sel][ws == wmin].min())
-                if wmin < best_w or (wmin == best_w and smin < best_s):
-                    best_w, best_s = float(wmin), smin
-        else:
-            bx0, bx1, by0, by1 = box
-            t = node.split
-            if node.split_dim == 0:
-                lesser, greater = (bx0, t, by0, by1), (t, bx1, by0, by1)
-            else:
-                lesser, greater = (bx0, bx1, by0, t), (bx0, bx1, t, by1)
-            # visit the nearer child first
-            if _box_min_sqdist(ax, ay, lesser) <= _box_min_sqdist(ax, ay, greater):
-                stack.append((node.greater, greater))
-                stack.append((node.lesser, lesser))
-            else:
-                stack.append((node.lesser, lesser))
-                stack.append((node.greater, greater))
-    return best_w, best_s
+# cos and sin of the ray at c * 60 degrees, c = 0..6
+_RAYS = np.array([(math.cos(c * CONE_ANGLE), math.sin(c * CONE_ANGLE)) for c in range(NUM_CONES + 1)])
 
 
 def _cross(ray: int, pts: np.ndarray) -> np.ndarray:
     """cross(u, x) for every row x, u the unit ray at angle ray * 60 degrees."""
-    a = ray * CONE_ANGLE
-    return math.cos(a) * pts[:, 1] - math.sin(a) * pts[:, 0]
+    cos, sin = _RAYS[ray]
+    return cos * pts[:, 1] - sin * pts[:, 0]
+
+
+def _tolerance(P: np.ndarray, S: np.ndarray) -> float:
+    """Slack of the half-plane tests, 1e-12 of the largest coordinate magnitude."""
+    return 1e-12 * max(np.abs(P).max(), np.abs(S).max())
 
 
 def _empty_cones(P: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -277,7 +217,7 @@ def _empty_cones(P: np.ndarray, S: np.ndarray) -> np.ndarray:
     lies in no cone, so when it holds the prefix minimum the next one counts.
     """
     m = len(S)
-    tol = 1e-12 * max(np.abs(P).max(), np.abs(S).max())
+    tol = _tolerance(P, S)
     empty = np.zeros((len(P), NUM_CONES), dtype=bool)
     for c in range(NUM_CONES):
         a = _cross(c, S)
@@ -324,94 +264,259 @@ def _z_order(P: np.ndarray) -> np.ndarray:
     return np.argsort(_spread_bits(q[:, 0]) | (_spread_bits(q[:, 1]) << 1), kind="stable")
 
 
+def _scatter_min(keys: np.ndarray, w: np.ndarray, s: np.ndarray, size: int, m: int):
+    """Smallest (w, s) pair of each key in range(size): squared length first, index on ties.
+
+    A key with no entry holds (inf, m); callers read s only where w is finite.
+    """
+    acc_w = np.full(size, np.inf)
+    np.minimum.at(acc_w, keys, w)
+    tie = w == acc_w[keys]
+    acc_s = np.full(size, m, dtype=np.int64)
+    np.minimum.at(acc_s, keys[tie], s[tie])
+    return acc_w, acc_s
+
+
+@dataclass(frozen=True)
+class _Boxes:
+    """The leaves of a k-d tree over S and the bounding boxes above them.
+
+    The leaves hold contiguous ranges of the tree's `indices`, so `x` and
+    `y` list the candidates `order` leaf by leaf: leaf j holds positions
+    `start[j]` to `start[j] + size[j]`.  Each level is a (4, count) array
+    of boxes (x0, y0, x1, y1).  `levels[-1]` holds the tight box of each
+    leaf, and each level above pairs consecutive boxes of the one below
+    (an odd last box stands alone), up to the one box of all candidates in
+    `levels[0]`.  The children of box j are boxes 2j and 2j + 1 of the
+    next level.
+    """
+
+    order: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+    levels: list
+
+
+def _boxes(kdtree: cKDTree, S: np.ndarray) -> _Boxes:
+    """Read the leaf ranges of `kdtree` once and box them."""
+    ends = []
+    stack = [kdtree.tree]
+    while stack:
+        node = stack.pop()
+        if node.split_dim < 0:
+            ends.append(node.end_idx)
+        else:
+            stack += (node.greater, node.lesser)
+    order = np.asarray(kdtree.indices)
+    x, y = S[order, 0], S[order, 1]
+    start = np.r_[0, ends[:-1]].astype(np.intp)
+    box = np.array([f.reduceat(v, start) for f in (np.minimum, np.maximum) for v in (x, y)])
+    levels = [box]
+    while box.shape[1] > 1:
+        if box.shape[1] % 2:
+            box = np.column_stack((box, box[:, -1]))
+        box = np.vstack((np.minimum(box[:2, 0::2], box[:2, 1::2]), np.maximum(box[2:, 0::2], box[2:, 1::2])))
+        levels.append(box)
+    return _Boxes(order, x, y, start, np.diff(np.r_[start, len(S)]), levels[::-1])
+
+
+def _leaf_points(boxes: _Boxes, leaf: np.ndarray) -> np.ndarray:
+    """Positions in `boxes.x` and `boxes.y` of every point of the given leaves, leaf by leaf."""
+    size = boxes.size[leaf]
+    first = np.cumsum(size) - size
+    return np.repeat(boxes.start[leaf] - first, size) + np.arange(first[-1] + size[-1])
+
+
+def _walk(boxes: _Boxes, test: np.ndarray, cone: np.ndarray, r2: np.ndarray, seen: np.ndarray, m: int):
+    """Nearest in-cone candidate within squared radius r2 of each query.
+
+    Column i of `test` holds query i's apex (x, y) and the two half-plane
+    tests of `_empty_cones` for its cone: a candidate q can lie in the
+    cone only if sin_a * q_x - cos_a * q_y <= t_a and cos_b * q_y -
+    sin_b * q_x < t_b.  Both sides are monotone in each coordinate, so a
+    box whose best corner fails either test holds no such candidate.  The
+    walk goes down one level at a time with a frontier of (query, box)
+    pairs, dropping a pair when its box fails a test, lies farther than
+    r2, or lies within `seen`, a squared radius an earlier walk searched
+    in vain.  It returns the smallest (w, index) per query, (inf, m)
+    where none lies within r2, and the smallest squared distance of a box
+    dropped only for its distance, a floor for the next radius (inf if
+    none).
+    """
+    a = len(r2)
+    q = np.arange(a)
+    node = np.zeros(a, dtype=np.intp)
+    beyond = np.full(a, np.inf)
+    for depth, level in enumerate(boxes.levels):
+        if depth:
+            node = (2 * node[:, None] + np.array([0, 1])).ravel()
+            q = np.repeat(q, 2)
+            keep = node < level.shape[1]
+            node, q = node[keep], q[keep]
+        x0, y0, x1, y1 = level[:, node]
+        ax, ay, cos_a, sin_a, t_a, cos_b, sin_b, t_b = test[:, q]
+        dx = np.maximum(np.maximum(x0 - ax, ax - x1), 0.0)
+        dy = np.maximum(np.maximum(y0 - ay, ay - y1), 0.0)
+        d2 = dx * dx + dy * dy
+        gx = np.maximum(ax - x0, x1 - ax)
+        gy = np.maximum(ay - y0, y1 - ay)
+        inside = (
+            (gx * gx + gy * gy > seen[q])
+            & (np.minimum(sin_a * x0, sin_a * x1) - np.maximum(cos_a * y0, cos_a * y1) <= t_a)
+            & (np.minimum(cos_b * y0, cos_b * y1) - np.maximum(sin_b * x0, sin_b * x1) < t_b)
+        )
+        near = d2 <= r2[q]
+        far = inside & ~near
+        np.minimum.at(beyond, q[far], d2[far])
+        keep = inside & near
+        node, q = node[keep], q[keep]
+
+    best_w = np.full(a, np.inf)
+    best_s = np.full(a, m, dtype=np.int64)
+    if not len(q):
+        return best_w, best_s, beyond
+    # gather the leaves in slices of about _BLOCK / 4 points
+    ends = np.cumsum(boxes.size[node]) // max(1, _BLOCK >> 2)
+    for part in np.split(np.arange(len(q)), np.flatnonzero(np.diff(ends)) + 1):
+        pos = _leaf_points(boxes, node[part])
+        qq = np.repeat(q[part], boxes.size[node[part]])
+        dx = boxes.x[pos] - test[0, qq]
+        dy = boxes.y[pos] - test[1, qq]
+        w = dx * dx + dy * dy
+        hit = np.flatnonzero((w > 0) & (w <= r2[qq]))  # a point on the apex lies in no cone
+        hit = hit[cone_indices_from_deltas(dx[hit], dy[hit]) == cone[qq[hit]]]
+        acc_w, acc_s = _scatter_min(qq[hit], w[hit], boxes.order[pos[hit]], a, m)
+        better = (acc_w < best_w) | ((acc_w == best_w) & (acc_s < best_s))
+        best_w = np.where(better, acc_w, best_w)
+        best_s = np.where(better, acc_s, best_s)
+    return best_w, best_s, beyond
+
+
+def _cone_search(kdtree, P, S, cells, radius, best_w, best_s) -> None:
+    """Settle every open (terminal, cone) cell exactly, writing into best_w and best_s.
+
+    A cell the kNN round seeded holds an in-cone candidate, so its answer
+    lies within the seed's squared length and one walk finds it.  An
+    unseeded cell starts at twice its terminal's k-th-neighbor radius,
+    and its squared radius grows 4x per step, at least to the nearest box
+    the last walk dropped for distance, until the ball holds an in-cone
+    candidate or covers every candidate.  The cells go in chunks of
+    `_BLOCK >> 7`, so the frontier stays bounded.
+    """
+    m = len(S)
+    boxes = _boxes(kdtree, S)
+    p, c = cells[:, 0], cells[:, 1]
+    apex = P[p]
+    seed = best_w[p, c]
+    r2 = np.where(np.isfinite(seed), seed, 4.0 * radius[p] ** 2)
+    seen = np.full(len(cells), -1.0)
+    x0, y0, x1, y1 = boxes.levels[0][:, 0]
+    gx = np.maximum(apex[:, 0] - x0, x1 - apex[:, 0])
+    gy = np.maximum(apex[:, 1] - y0, y1 - apex[:, 1])
+    cover = gx * gx + gy * gy  # no candidate lies farther
+
+    # the tests of `_empty_cones`: cones 2 and 5 check the sign of d_y
+    tol = _tolerance(apex, S)
+    cos_a, sin_a = _RAYS[c].T
+    cos_b, sin_b = _RAYS[c + 1].T
+    sign = np.where(c == 2, -1.0, 1.0)
+    by_y = (c == 2) | (c == 5)
+    cos_b, sin_b = np.where(by_y, sign, cos_b), np.where(by_y, 0.0, sin_b)
+    t_a = tol - (cos_a * apex[:, 1] - sin_a * apex[:, 0])
+    t_b = (cos_b * apex[:, 1] - sin_b * apex[:, 0]) + np.where(by_y, 0.0, tol)
+    test = np.vstack((apex.T, cos_a, sin_a, t_a, cos_b, sin_b, t_b))
+
+    chunk = max(1, _BLOCK >> 7)
+    todo = np.arange(len(cells))
+    while todo.size:
+        w = np.empty(len(todo))
+        s = np.empty(len(todo), dtype=np.int64)
+        beyond = np.empty(len(todo))
+        for lo in range(0, len(todo), chunk):
+            at = todo[lo : lo + chunk]
+            w[lo : lo + chunk], s[lo : lo + chunk], beyond[lo : lo + chunk] = _walk(
+                boxes, test[:, at], c[at], r2[at], seen[at], m
+            )
+        settled = np.isfinite(w) | (r2[todo] >= cover[todo])
+        best_w[p[todo[settled]], c[todo[settled]]] = w[settled]
+        best_s[p[todo[settled]], c[todo[settled]]] = s[settled]
+        todo, beyond = todo[~settled], beyond[~settled]
+        seen[todo] = r2[todo]
+        r2[todo] = np.minimum(np.maximum(4.0 * r2[todo], beyond), cover[todo])
+
+
 def yao_bipartite(P, S) -> YaoGraph:
     """Accelerated construction, identical output to `yao_bruteforce`.
 
-    Phase one answers most (terminal, cone) queries from batched k-nearest
-    -neighbor rounds with growing k: a cone is settled once its best
-    in-cone candidate lies strictly inside the k-th-neighbor ball (or once
-    k reaches the full candidate count).  After the first round, the open
-    cones that provably hold no candidate are settled all at once
-    (`_empty_cones`).  Remaining queries, typically terminals near the hull
-    with sparse cones, fall through to an exact cone-pruned search of the
-    same k-d tree with best-so-far pruning (`_cone_query`).
+    One batched k-nearest-neighbor round (k = `_KNN_START`) answers most
+    (terminal, cone) cells: a cone is settled once its best in-cone
+    candidate lies strictly inside the k-th-neighbor ball (or when k is
+    the full candidate count).  The open cones that provably hold no
+    candidate are then settled all at once (`_empty_cones`).  Every cell
+    still open, typically of terminals near the hull with sparse cones,
+    goes to one batched exact search of the same k-d tree
+    (`_cone_search`): a level-by-level walk of the leaf boxes that prunes
+    by distance and by the two half-planes of the cone, and classifies
+    the leaf points in NumPy.
 
-    The rounds visit the terminals in Morton order (`_z_order`), so
-    consecutive queries walk nearby parts of the tree.  Each round makes
-    one query for all its terminals, keeps only the k-th-neighbor radius
-    of the distances it returns, and reduces the neighbor lists in row
-    blocks of about `_BLOCK` neighbors.  Rows are independent, every write
-    goes through the terminal's own index, and ties compare candidate
-    indices, so neither the order nor the blocks change the graph.
+    The round visits the terminals in Morton order (`_z_order`), so
+    consecutive queries walk nearby parts of the tree.  It keeps only the
+    k-th-neighbor radius of the distances the query returns, and reduces
+    the neighbor lists in row blocks of about `_BLOCK` neighbors.  Rows
+    are independent, every write goes through the terminal's own index,
+    and ties compare candidate indices, so neither the order nor the
+    blocks change the graph.
 
-    The module constants `_KNN_START`, `_KNN_CAP`, `_LEAF_SIZE`,
-    `_PARALLEL_MIN` and `_BLOCK`, and the visit order, only trade speed
-    and memory; any setting yields the same graph.
+    The module constants `_KNN_START`, `_LEAF_SIZE`, `_PARALLEL_MIN` and
+    `_BLOCK`, and the visit order, only trade speed and memory; any
+    setting yields the same graph.
     Precondition: P and S are non-empty (not checked here).
     """
     P = as_points(P, "P")
     S = as_points(S, "S")
     n, m = len(P), len(S)
-    best_w = np.full((n, NUM_CONES), np.inf)
-    best_s = np.full((n, NUM_CONES), m, dtype=np.int64)
-    done = np.zeros((n, NUM_CONES), dtype=bool)
+    best_w = np.empty((n, NUM_CONES))
+    best_s = np.empty((n, NUM_CONES), dtype=np.int64)
+    done = np.empty((n, NUM_CONES), dtype=bool)
+    radius = np.empty(n)
 
     kdtree = cKDTree(S, leafsize=_LEAF_SIZE)
     Sx, Sy = np.ascontiguousarray(S[:, 0]), np.ascontiguousarray(S[:, 1])
-    active = _z_order(P)
+    order = _z_order(P)
     k = min(_KNN_START, m)
-    while active.size:
-        a = len(active)
-        d, idx = kdtree.query(P[active], k=k, workers=-1 if a * k >= _PARALLEL_MIN else 1)
-        idx = np.atleast_1d(idx).reshape(a, k)
-        radius = np.atleast_1d(d).reshape(a, k)[:, -1].copy()
-        del d
-        rows = max(1, _BLOCK // k)
-        for lo in range(0, a, rows):
-            block = active[lo : lo + rows]
-            b = len(block)
-            apex = P[block]
-            nbr = idx[lo : lo + rows]
-            dx = Sx[nbr] - apex[:, 0, None]
-            dy = Sy[nbr] - apex[:, 1, None]
-            w = (dx * dx + dy * dy).reshape(-1)
-            w[w == 0] = np.inf  # a point on the apex lies in no cone
-            cone = cone_indices_from_deltas(dx, dy)
+    d, idx = kdtree.query(P[order], k=k, workers=-1 if n * k >= _PARALLEL_MIN else 1)
+    idx = np.atleast_1d(idx).reshape(n, k)
+    radius[order] = np.atleast_1d(d).reshape(n, k)[:, -1]
+    del d
+    rows = max(1, _BLOCK // k)
+    for lo in range(0, n, rows):
+        block = order[lo : lo + rows]
+        b = len(block)
+        apex = P[block]
+        nbr = idx[lo : lo + rows]
+        dx = Sx[nbr] - apex[:, 0, None]
+        dy = Sy[nbr] - apex[:, 1, None]
+        w = (dx * dx + dy * dy).reshape(-1)
+        w[w == 0] = np.inf  # a point on the apex lies in no cone
+        cone = cone_indices_from_deltas(dx, dy)
+        keys = (np.arange(b, dtype=np.int64)[:, None] * NUM_CONES + cone).reshape(-1)
+        acc_w, acc_s = _scatter_min(keys, w, nbr.reshape(-1), b * NUM_CONES, m)
+        acc_w = acc_w.reshape(b, NUM_CONES)
+        found = np.isfinite(acc_w)
+        best_w[block] = acc_w
+        best_s[block] = np.where(found, acc_s.reshape(b, NUM_CONES), m)
+        # strict: equal radii could hide an unseen tie with smaller index
+        done[block] = (k == m) | (found & (np.sqrt(acc_w) < radius[block, None]))
+    del idx
 
-            # scatter-min per (row, cone): squared length first, index on ties
-            keys = (np.arange(b, dtype=np.int64)[:, None] * NUM_CONES + cone).reshape(-1)
-            acc_w = np.full(b * NUM_CONES, np.inf)
-            np.minimum.at(acc_w, keys, w)
-            tie = w == acc_w[keys]
-            acc_s = np.full(b * NUM_CONES, m, dtype=np.int64)
-            np.minimum.at(acc_s, keys[tie], nbr.reshape(-1)[tie])
-            acc_w = acc_w.reshape(b, NUM_CONES)
-            acc_s = acc_s.reshape(b, NUM_CONES)
-
-            found = np.isfinite(acc_w)
-            if k == m:
-                settled = np.ones((b, NUM_CONES), dtype=bool)
-            else:
-                # strict: equal radii could hide an unseen tie with smaller index
-                settled = found & (np.sqrt(acc_w) < radius[lo : lo + rows, None])
-            best_w[block] = np.where(found, acc_w, best_w[block])
-            best_s[block] = np.where(found, acc_s, best_s[block])
-            done[block] |= settled
-        if k == m:
-            break
-        active = active[~done[active].all(axis=1)]
-        if k == _KNN_START and active.size:
-            # cones still open after the first round are often empty
-            done[active] |= _empty_cones(P[active], S)
-            active = active[~done[active].all(axis=1)]
-        if k >= _KNN_CAP:
-            break
-        k = min(4 * k, m)
-
-    pending = np.argwhere(~done)
-    for i, c in pending.tolist():
-        best_w[i, c], best_s[i, c] = _cone_query(
-            kdtree, P[i], c, float(best_w[i, c]), int(best_s[i, c])
-        )
+    active = np.flatnonzero(~done.all(axis=1))
+    if active.size:
+        # cones still open after the round are often empty
+        done[active] |= _empty_cones(P[active], S)
+        cells = np.argwhere(~done)
+        if len(cells):
+            _cone_search(kdtree, P, S, cells, radius, best_w, best_s)
 
     return YaoGraph(m, best_w, best_s)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsteiner import geometry
 from bsteiner.geometry import (
     CONE_ANGLE,
     RAY_STARTS,
@@ -170,6 +171,21 @@ def test_cone_classes_match_spec_on_random_deltas():
     rng = np.random.default_rng(11)
     scale = 2.0 ** rng.integers(-400, 500, 10**6)
     assert_matches_spec(rng.normal(size=10**6) * scale, rng.normal(size=10**6) * scale)
+
+
+def test_cone_of_angle_equals_the_sorted_lookup():
+    # the six-comparison count gives the slot a binary search gives
+    rng = np.random.default_rng(12)
+    bounds = np.concatenate([ulp_steps(b, 4) for b in geometry._T_BOUNDS])
+    t = np.concatenate(
+        (rng.uniform(-np.pi, np.pi, 10**5), bounds, ulp_steps(np.pi, 4), ulp_steps(-np.pi, 4), [0.0, -0.0])
+    )
+    t = t[np.abs(t) <= np.pi]
+    want = geometry._SLOT_CONE[np.searchsorted(geometry._T_BOUNDS, t, side="right")]
+    got = geometry._cone_of_angle(t)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    for x in (np.pi, -np.pi, 0.0, -0.0):
+        assert geometry._cone_of_angle(np.float64(x)) == want[t.tolist().index(x)]
 
 
 def test_same_cone_proximity_inequality():

@@ -7,8 +7,8 @@ every digest as it is.  The families cover the inputs planar geometry
 invites: uniform sets, half-integer lattices with duplicate candidates
 and -0.0, lines at 60 and 120 degrees, 1e-12 near-duplicates, terminals
 ringing a candidate disc, and a terminal blob inside dense candidates.
-Several sets have m > 512, so the kNN rounds reach their cap and the
-exact cone search runs.
+24 of the 39 sets leave cones open after the kNN round and its emptiness
+proof, so the batched exact cone search runs on them.
 """
 
 import hashlib

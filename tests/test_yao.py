@@ -1,3 +1,5 @@
+import contextlib
+import signal
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,7 @@ from bsteiner.generators import gen_maxgap_instance, gen_random_instance
 from bsteiner.geometry import cone_indices, squared_distance_matrix
 from bsteiner.solver import validate_instance
 from bsteiner import yao
-from bsteiner.yao import row_min, same_edges, yao_bipartite, yao_bruteforce
+from bsteiner.yao import row_any, row_min, same_edges, yao_bipartite, yao_bruteforce
 
 
 def test_single_candidate():
@@ -42,23 +44,35 @@ def test_row_min_equals_min_along_rows(n):
         assert np.array_equal(got, table.min(axis=1))
 
 
-def force_fallback(monkeypatch, knn_start, knn_cap, leaf_size):
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_row_any_equals_any_along_rows(n):
+    rng = np.random.default_rng(n)
+    cells = rng.integers(-1, 4, (n, 6))
+    cells[: n // 7] = -1  # rows with no match
+    for j in range(-1, 5):
+        mask = cells == j
+        got = row_any(mask)
+        assert got.dtype == bool
+        assert np.array_equal(got, mask.any(axis=1))
+
+
+def force_fallback(monkeypatch, knn_start, leaf_size):
     """Shrink the speed constants of `yao_bipartite` and count its cone searches."""
     monkeypatch.setattr(yao, "_KNN_START", knn_start)
-    monkeypatch.setattr(yao, "_KNN_CAP", knn_cap)
     monkeypatch.setattr(yao, "_LEAF_SIZE", leaf_size)
     return count_cone_queries(monkeypatch)
 
 
 def count_cone_queries(monkeypatch):
+    """Record the number of open cells each call of the batched cone search settles."""
     calls = []
-    cone_query = yao._cone_query
+    cone_search = yao._cone_search
 
-    def counted(*args):
-        calls.append(args[2])
-        return cone_query(*args)
+    def counted(kdtree, P, S, cells, *args):
+        calls.append(len(cells))
+        return cone_search(kdtree, P, S, cells, *args)
 
-    monkeypatch.setattr(yao, "_cone_query", counted)
+    monkeypatch.setattr(yao, "_cone_search", counted)
     return calls
 
 
@@ -81,14 +95,14 @@ def test_overlap_rejected(monkeypatch):
             assert (g.w > 0).all()
             assert same_edges(g, yao_bipartite(S, S))
             with monkeypatch.context() as mp:
-                force_fallback(mp, 2, 4, 3)
+                force_fallback(mp, 2, 3)
                 assert same_edges(g, yao_bipartite(S, S))
 
 
 def test_lines_prove_their_empty_cones():
     # a point on a line sees other points in two cones at most; the other
-    # cones are proven empty up front, so none of them reaches the kNN
-    # growth or the tree search, which would make lines quadratic
+    # cones are proven empty up front, so none of them reaches the cone
+    # search, which would make lines quadratic
     t = np.arange(-50, 50.0)
     for d in ((1, 0), (0, 1), (2, 3), (-5, 1)):
         S = t[:, None] * np.array(d, dtype=float) + 0.5
@@ -143,23 +157,23 @@ def test_bipartite_equals_bruteforce(seed):
 
 
 def test_forced_tree_search_path_matches(monkeypatch):
-    # tiny knn caps push every query through the cone-pruned tree search
+    # a tiny kNN round pushes most cells through the batched cone search
     rng = np.random.default_rng(300)
     for _ in range(30):
         n = int(rng.integers(1, 50))
         m = int(rng.integers(1, 50))
         P, S = gen_random_instance(n, m, 100.0, seed=int(rng.integers(1 << 31)))
         a = yao_bruteforce(P, S)
-        for knobs in ((2, 2, 2), (3, 12, 4)):
+        for knobs in ((2, 2), (3, 4)):
             with monkeypatch.context() as mp:
                 force_fallback(mp, *knobs)
                 assert same_edges(a, yao_bipartite(P, S))
 
 
 def test_tree_search_with_empty_cones(monkeypatch):
-    # far-away clustered terminals leave most cones empty; with k = 1 no
-    # kNN round settles a cone, so every cone not proven empty is searched
-    calls = force_fallback(monkeypatch, 1, 1, 3)
+    # far-away clustered terminals leave most cones empty; with k = 1 the
+    # kNN round settles no cone, so every cone not proven empty is searched
+    calls = force_fallback(monkeypatch, 1, 3)
     rng = np.random.default_rng(301)
     for _ in range(20):
         n = int(rng.integers(1, 30))
@@ -188,7 +202,7 @@ def test_tree_search_on_larger_sets(monkeypatch, kind):
             S = rng.normal(0, 1, (m, 2)) + rng.integers(-3, 4, (m, 2)) * 10.0
             P = rng.normal(0, 20, (n, 2))
         a = yao_bruteforce(P, S)
-        for knobs in ((2, 2, 2), (4, 16, 5)):
+        for knobs in ((2, 2), (4, 5)):
             with monkeypatch.context() as mp:
                 calls = force_fallback(mp, *knobs)
                 assert same_edges(a, yao_bipartite(P, S))
@@ -196,7 +210,7 @@ def test_tree_search_on_larger_sets(monkeypatch, kind):
         if m == 300:  # a set against itself: every candidate is some apex
             b = yao_bruteforce(S, S)
             with monkeypatch.context() as mp:
-                calls = force_fallback(mp, 2, 2, 3)
+                calls = force_fallback(mp, 2, 3)
                 assert same_edges(b, yao_bipartite(S, S))
                 assert calls
 
@@ -204,7 +218,7 @@ def test_tree_search_on_larger_sets(monkeypatch, kind):
 def test_sixty_degree_line_reaches_tree_search(monkeypatch):
     # rounding puts each neighbor on a 60-degree line into one of the two
     # cones sharing that ray, so the other cone is neither found by the
-    # kNN rounds nor provably empty, and the search runs along the line
+    # kNN round nor provably empty, and the search runs along the line
     calls = count_cone_queries(monkeypatch)
     m = 1024
     t = np.random.default_rng(304).permutation(m).astype(float)
@@ -271,7 +285,7 @@ def _block_families():
         "uniform": gen_random_instance(150, 400, 100.0, seed=306),
         "hull": (_ring(rng, 120, 1010.0, 1200.0), _ring(rng, 400, 0.0, 1000.0)),
         "lattice": (rng.integers(-7, 8, (150, 2)) / 2.0 + 0.25, lattice),
-        "line60": (sixty, sixty),  # m > _KNN_CAP, and the cone search runs along the line
+        "line60": (sixty, sixty),  # the cone search runs along the line
     }
 
 
@@ -398,7 +412,7 @@ def test_table_matches_bruteforce_on_degenerate_sets(data):
     assert b.best_w.shape == b.best_s.shape == (n, 6)
     assert np.array_equal(a.best_w, b.best_w) and np.array_equal(a.best_s, b.best_s)
     with pytest.MonkeyPatch.context() as mp:
-        force_fallback(mp, 2, 4, 3)  # cones left open go to the proof and the search
+        force_fallback(mp, 2, 3)  # cones left open go to the proof and the search
         assert same_edges(a, yao_bipartite(P, S))
     assert np.array_equal(b.best_s == m, b.best_w == np.inf)
     cells = [(p, c) for p in range(n) for c in range(6) if b.best_w[p, c] < np.inf]
@@ -416,3 +430,105 @@ def test_table_matches_bruteforce_on_degenerate_sets(data):
     assert b.degrees().tolist() == [sum(p == i for p, _ in cells) for i in range(n)]
     edges = [e for i in range(n) for e in b.edges_of(i)]
     assert edges == list(zip(flat["s_idx"], flat["cone"], flat["w"]))
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError, instead of hanging, if the block runs longer than `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_search_grows_from_a_zero_radius(monkeypatch):
+    # more than k candidates on the apex make its k-th-neighbor radius 0,
+    # and the only proof of emptiness it can get is the search's own; a
+    # radius that only grows by factors of 4 would stay at 0
+    calls = count_cone_queries(monkeypatch)
+    A = (3.0, 4.0)
+    for far in ([], [(10.0, 4.0)], [(10.0, 4.0), (-2.0, -7.0), (3.0, 9.5), (2.0**-30, 4.0)]):
+        S = np.array([A] * 40 + far)
+        for P in (np.array([A]), S):  # a lone apex, and every point of S
+            with time_limit(10):
+                assert same_edges(yao_bruteforce(P, S), yao_bipartite(P, S))
+    assert calls
+
+
+def test_search_on_duplicate_candidates(monkeypatch):
+    # few distinct points repeated many times: ties on every distance
+    calls = force_fallback(monkeypatch, 2, 3)
+    rng = np.random.default_rng(310)
+    for _ in range(15):
+        pool = rng.uniform(0, 10, (int(rng.integers(1, 8)), 2))
+        S = pool[rng.integers(0, len(pool), int(rng.integers(1, 200)))]
+        P = np.concatenate((S[:20], rng.uniform(-5, 15, (20, 2))))
+        with time_limit(10):
+            assert same_edges(yao_bruteforce(P, S), yao_bipartite(P, S))
+            assert same_edges(yao_bruteforce(S, S), yao_bipartite(S, S))
+    assert calls
+
+
+def test_search_at_extreme_magnitudes(monkeypatch):
+    # terminals and candidates at 2**-400 with a few candidates near 2**499:
+    # the open cones of the small points reach across about 900 binary
+    # orders, and squared radii near 2**1000 must neither overflow nor
+    # keep the search going
+    calls = count_cone_queries(monkeypatch)
+    rng = np.random.default_rng(312)
+    for _ in range(10):
+        small = rng.integers(-3, 4, (60, 2)) * 2.0**-400
+        big = rng.choice([-1.0, 1.0], (int(rng.integers(1, 6)), 2)) * 2.0 ** rng.integers(490, 500, (1, 2))
+        S = np.concatenate((small[:40], big))
+        P = np.concatenate((small[40:], big[:1] * 0.5))
+        with time_limit(20), np.errstate(over="raise", invalid="raise"):
+            assert same_edges(yao_bruteforce(P, S), yao_bipartite(P, S))
+            assert same_edges(yao_bruteforce(S, S), yao_bipartite(S, S))
+    assert calls
+
+
+@pytest.mark.parametrize("pool", sorted(DEGENERATE_POOLS))
+def test_search_on_degenerate_pools_against_themselves(monkeypatch, pool):
+    rng = np.random.default_rng(313)
+    points = np.array(DEGENERATE_POOLS[pool], dtype=float)
+    for knobs in (None, (2, 3)):
+        with monkeypatch.context() as mp:
+            if knobs is not None:
+                force_fallback(mp, *knobs)
+            for size in (5, 40, 300):
+                S = points[rng.integers(0, len(points), size)]
+                for exponent in (None, 499, -400):
+                    T, _ = _to_magnitude(S, S, exponent)
+                    with time_limit(20):
+                        assert same_edges(yao_bruteforce(T, T), yao_bipartite(T, T))
+
+
+def test_examined_points_scale_on_sixty_degree_lines(monkeypatch):
+    # the search gathers whole leaves; on a 60-degree line the points it
+    # examines grow at most 2.6x per doubling of the line (a count, not a
+    # time; quadratic growth would read 4x)
+    examined = []
+    leaf_points = yao._leaf_points
+
+    def counted(boxes, leaf):
+        pos = leaf_points(boxes, leaf)
+        examined[-1] += len(pos)
+        return pos
+
+    monkeypatch.setattr(yao, "_leaf_points", counted)
+    for e in range(10, 14):
+        t = np.random.default_rng(314).permutation(2**e).astype(float)
+        S = t[:, None] * np.array([np.cos(np.pi / 3), np.sin(np.pi / 3)]) * 1.7
+        examined.append(0)
+        with time_limit(60):
+            b = yao_bipartite(S, S)
+        assert same_edges(yao_bruteforce(S, S), b)
+    assert examined[0] > 0
+    assert all(b <= 2.6 * a for a, b in zip(examined, examined[1:])), examined
