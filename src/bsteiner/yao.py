@@ -10,13 +10,14 @@ Two constructions fill the same table: `yao_bruteforce` scans all
 candidate points per terminal, `yao_bipartite` accelerates the search with
 one k-d tree over the candidates in three steps.  One kNN round, with the
 terminals in Z-order and its neighbor lists reduced in fixed-size row
-blocks, settles most cells.  A proof from one sort of the candidates per
-cone settles the open cones that hold no candidate.  One batched exact
-search of the same tree settles the rest: it walks the tree's leaf boxes
-level by level for all open cells at once, pruning by distance and by the
-cone's two half-planes, and classifies the leaf points in NumPy.  Both
-constructions classify cones and measure distances through the shared
-routines in `geometry`, so their tables are identical bit for bit.
+blocks, settles most cells.  When many cells stay open, a proof from one
+sort of the candidates per cone settles the open cones that hold no
+candidate.  One batched exact search of the same tree settles the rest:
+it walks the tree's leaf boxes level by level for all open cells at once,
+pruning by distance and by the cone's two half-planes, and classifies the
+leaf points in NumPy.  Both constructions classify cones and measure
+distances through the shared routines in `geometry`, so their tables are
+identical bit for bit.
 
 The search is what degenerate sets exercise.  On a 2-core machine
 `yao_bipartite(S, S)` takes about 0.46 s on 2**12 points of a circle, and
@@ -53,7 +54,8 @@ from .geometry import (
 )
 
 # The kNN round fetches k = _KNN_START neighbors per terminal; cones it
-# leaves open go to the emptiness proof and then to the exact cone search.
+# leaves open go to the emptiness proof, when there are at least
+# m / _LEAF_SIZE of them, and then to the exact cone search.
 _KNN_START = 32
 # Leaf size of the k-d tree over S, chosen by measurement on a 2-core
 # machine.  Against scipy's default of 16, 64 leaves the kNN round at 2**19
@@ -453,13 +455,14 @@ def yao_bipartite(P, S) -> YaoGraph:
     One batched k-nearest-neighbor round (k = `_KNN_START`) answers most
     (terminal, cone) cells: a cone is settled once its best in-cone
     candidate lies strictly inside the k-th-neighbor ball (or when k is
-    the full candidate count).  The open cones that provably hold no
-    candidate are then settled all at once (`_empty_cones`).  Every cell
-    still open, typically of terminals near the hull with sparse cones,
-    goes to one batched exact search of the same k-d tree
-    (`_cone_search`): a level-by-level walk of the leaf boxes that prunes
-    by distance and by the two half-planes of the cone, and classifies
-    the leaf points in NumPy.
+    the full candidate count).  When at least m / `_LEAF_SIZE` cells stay
+    open, the open cones that provably hold no candidate are then settled
+    all at once (`_empty_cones`); fewer open cells cost the search less
+    than the proof's six sorts of S.  Every cell still open, typically of
+    terminals near the hull with sparse cones, goes to one batched exact
+    search of the same k-d tree (`_cone_search`): a level-by-level walk of
+    the leaf boxes that prunes by distance and by the two half-planes of
+    the cone, and classifies the leaf points in NumPy.
 
     The round visits the terminals in Morton order (`_z_order`), so
     consecutive queries walk nearby parts of the tree.  It keeps only the
@@ -511,12 +514,14 @@ def yao_bipartite(P, S) -> YaoGraph:
         done[block] = (k == m) | (found & (np.sqrt(acc_w) < radius[block, None]))
     del idx
 
-    active = np.flatnonzero(~done.all(axis=1))
-    if active.size:
-        # cones still open after the round are often empty
+    cells = np.argwhere(~done)
+    if len(cells) * _LEAF_SIZE >= m:
+        # many open cones, which are often empty: the proof settles them
+        # for six sorts of S, where the search would walk a leaf each
+        active = np.unique(cells[:, 0])
         done[active] |= _empty_cones(P[active], S)
         cells = np.argwhere(~done)
-        if len(cells):
-            _cone_search(kdtree, P, S, cells, radius, best_w, best_s)
+    if len(cells):
+        _cone_search(kdtree, P, S, cells, radius, best_w, best_s)
 
     return YaoGraph(m, best_w, best_s)

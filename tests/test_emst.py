@@ -11,7 +11,7 @@ from scipy.sparse.csgraph import connected_components
 
 from bsteiner import emst
 from bsteiner.emst import euclidean_mst, mst_prim_reference
-from bsteiner.geometry import squared_distance
+from bsteiner.geometry import pair_squared_distances, squared_distance
 
 
 def test_collinear_chain():
@@ -110,6 +110,22 @@ def test_kruskal_order_matches_lexsort():
         for a, dtype in ((got.edge_u, np.int64), (got.edge_v, np.int64),
                          (got.edge_w, np.float64), (got.thresholds, np.float64)):
             assert a.dtype == dtype
+    # the candidate edges of integer lattices: weights tie massively, and
+    # repeated points add zero-length edges to the runs of equal weight
+    for _ in range(20):
+        m = int(rng.integers(40, 300))
+        k = int(rng.integers(1, 6))
+        S = rng.integers(-k, k + 1, (m, 2)).astype(float)
+        u, v = emst._candidate_edges(S)
+        w = pair_squared_distances(S[u], S[v])
+        assert (w == 0).any() and len(np.unique(w)) < len(w) // 4
+        assert np.array_equal(emst._edge_order(m, u, v, w), np.lexsort((v, u, w)))
+        shuffled = rng.permutation(len(u))
+        u, v, w = u[shuffled], v[shuffled], w[shuffled]
+        ref = np.lexsort((v, u, w))
+        assert np.array_equal(emst._edge_order(m, u, v, w), ref)
+        want = kruskal_scan(m, zip(u[ref].tolist(), v[ref].tolist(), w[ref].tolist()))
+        assert emst._kruskal(m, u, v, w).edges == want
 
 
 def test_tiny_and_all_duplicate_sets():
@@ -184,6 +200,68 @@ def test_weight_multisets_match_prim(seed, block, monkeypatch):
             a, b = euclidean_mst(S), mst_prim_reference(S)
             assert np.array_equal(a.edge_w, b.edge_w)
             assert a.edges == kruskal_all_pairs(S)
+
+
+def filter_families(rng):
+    """Sets where the triangle filter meets ties, with every coordinate in
+    [1, 256): integer and half-integer lattices with repeated points,
+    cocircular integer points with noise, and points on a circle."""
+    m = int(rng.integers(30, 160))
+    k = int(rng.integers(2, 12))
+    yield rng.integers(1, k + 2, (m, 2)).astype(float)
+    yield rng.integers(2, 2 * k + 4, (m, 2)) / 2.0
+    idx = rng.choice(len(CIRCLE), int(rng.integers(3, len(CIRCLE) + 1)), replace=False)
+    cocircular = CIRCLE[idx] + 100.0
+    yield np.concatenate((cocircular, rng.uniform(1, 200, (int(rng.integers(1, 30)), 2))))
+    yield cocircular + rng.normal(0, 1e-9, cocircular.shape)
+    t = rng.uniform(0, 2 * np.pi, m)
+    yield 100.0 + 90.0 * np.column_stack((np.cos(t), np.sin(t)))
+
+
+@pytest.mark.parametrize("block", [8, 16, None])
+def test_triangle_filter_keeps_the_tree(block, monkeypatch):
+    # each triangulation drops the heaviest side of every triangle; the
+    # tree must stay edge for edge that of an all-pairs Kruskal scan, in
+    # blocks and seams too, and near both ends of the coordinate domain
+    if block is not None:
+        monkeypatch.setattr(emst, "_DT_BLOCK", block)
+    dropped = []
+    triangle_keys = emst._triangle_keys
+
+    def counted(sim, pts, label, m):
+        keys = triangle_keys(sim, pts, label, m)
+        sides = np.sort(label[sim[:, [0, 1, 1, 2, 2, 0]]].reshape(-1, 2), axis=1)
+        dropped.append(len(np.unique(sides, axis=0)) - len(keys))
+        return keys
+
+    monkeypatch.setattr(emst, "_triangle_keys", counted)
+    rng = np.random.default_rng(400 + (block or 0))
+    for _ in range(8):
+        for S in filter_families(rng):
+            want = kruskal_all_pairs(S)
+            for exponent in (0, 490, -398):  # largest coordinate near 2**498, 2**-390
+                T = np.ldexp(S, exponent)
+                with np.errstate(over="raise", under="raise"):
+                    a, b = euclidean_mst(T), mst_prim_reference(T)
+                assert np.array_equal(a.edge_w, b.edge_w)
+                assert [(u, v) for u, v, _ in a.edges] == [(u, v) for u, v, _ in want]
+    assert dropped and min(dropped) >= 0 and max(dropped) > 0
+
+
+def test_kruskal_receives_the_triangle_survivors(monkeypatch):
+    # all Delaunay sides would be about 3m edges; the survivors are fewer
+    seen = []
+    kruskal = emst._kruskal
+
+    def spy(m, u, v, w):
+        seen.append((m, len(u)))
+        return kruskal(m, u, v, w)
+
+    monkeypatch.setattr(emst, "_kruskal", spy)
+    m = 2**12
+    euclidean_mst(np.random.default_rng(401).uniform(0, 1000, (m, 2)))
+    assert len(seen) == 1 and seen[0][0] == m
+    assert seen[0][1] <= 1.5 * m
 
 
 def tree_adjacency(result, m):

@@ -276,6 +276,49 @@ def _ring(rng, k, r0, r1):
     return np.column_stack((r * np.cos(t), r * np.sin(t)))
 
 
+def spy_empty_cones(monkeypatch):
+    """Record, per call of the emptiness proof, its terminal count and the cells it proves."""
+    calls = []
+    empty_cones = yao._empty_cones
+
+    def counted(P, S):
+        empty = empty_cones(P, S)
+        calls.append((len(P), int(np.count_nonzero(empty))))
+        return empty
+
+    monkeypatch.setattr(yao, "_empty_cones", counted)
+    return calls
+
+
+def test_hull_shaped_input_runs_the_proof(monkeypatch):
+    # terminals ringing a candidate disc leave thousands of open cells,
+    # far above m / _LEAF_SIZE: the proof runs and settles most of them
+    proofs = spy_empty_cones(monkeypatch)
+    searches = count_cone_queries(monkeypatch)
+    rng = np.random.default_rng(320)
+    P, S = _ring(rng, 400, 1010.0, 1200.0), _ring(rng, 400, 0.0, 1000.0)
+    assert same_edges(yao_bruteforce(P, S), yao_bipartite(P, S))
+    assert len(proofs) == 1 and proofs[0][1] > 0
+    assert len(searches) == 1 and proofs[0][1] > searches[0]
+    assert (searches[0] + proofs[0][1]) * yao._LEAF_SIZE >= len(S)
+
+
+def test_skipped_proof_matches_bruteforce(monkeypatch):
+    # a few terminals outside a dense candidate disc leave fewer than
+    # m / _LEAF_SIZE open cells: the proof is skipped, and the search
+    # settles every open cell, the empty cones included
+    proofs = spy_empty_cones(monkeypatch)
+    searches = count_cone_queries(monkeypatch)
+    rng = np.random.default_rng(321)
+    S = _ring(rng, 4000, 0.0, 100.0)
+    P = np.concatenate((_ring(rng, 60, 0.0, 90.0), _ring(rng, 4, 150.0, 200.0)))
+    g = yao_bruteforce(P, S)
+    assert same_edges(g, yao_bipartite(P, S))
+    assert not proofs
+    assert len(searches) == 1 and 0 < searches[0] * yao._LEAF_SIZE < len(S)
+    assert (g.best_s == len(S)).sum() > 0  # some searched cones are empty
+
+
 def _block_families():
     rng = np.random.default_rng(305)
     lattice = rng.integers(-6, 7, (500, 2)) / 2.0  # about three candidates per lattice point
