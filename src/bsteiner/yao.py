@@ -14,10 +14,10 @@ blocks, settles most cells.  When many cells stay open, a proof from one
 sort of the candidates per cone settles the open cones that hold no
 candidate.  One batched exact search of the same tree settles the rest:
 it walks the tree's leaf boxes level by level for all open cells at once,
-pruning by distance and by the cone's two half-planes, and classifies the
-leaf points in NumPy.  Both constructions classify cones and measure
-distances through the shared routines in `geometry`, so their tables are
-identical bit for bit.
+pruning by distance and by the cone's two half-planes, which it reads
+from the proof's table `_CONES`, and classifies the leaf points in NumPy.
+Both constructions classify cones and measure distances through the
+shared routines in `geometry`, so their tables are identical bit for bit.
 
 The search is what degenerate sets exercise.  On a 2-core machine
 `yao_bipartite(S, S)` takes about 0.46 s on 2**12 points of a circle, and
@@ -66,11 +66,11 @@ _LEAF_SIZE = 64
 # A kNN round uses every core only when it fetches at least this many
 # neighbors.  Smaller rounds take a few ms, and split over threads they
 # wait on the slower thread whenever another process holds a core: on the
-# hull workload (2**11 terminals, rounds of at most 2**17 fetches) the
-# throughput of eight alternating 30 s runs on a shared 2-core machine
-# had an interquartile range of 16 % of its median, against 4 % with
-# these rounds single-threaded.  The first round at 2**14 terminals
-# fetches 2**19 neighbors, where threads save about 40 % on that machine.
+# hull workload, then of rounds up to 2**17 fetches, eight alternating 30 s
+# runs on a shared 2-core machine spread by 16 % of their median (quartile
+# distance), against 4 % single-threaded.  Its one round of 2**11 * 32 =
+# 2**16 fetches now read 19-26 % threaded against 4-32 % in one session, no
+# verdict.  At 2**14 terminals a round fetches 2**19, and threads save 40 %.
 _PARALLEL_MIN = 1 << 18
 # Each round's neighbor lists are reduced in row blocks of about this many
 # neighbors, so the glue around the query holds a few (rows, k) arrays of
@@ -169,7 +169,7 @@ def same_edges(a: YaoGraph, b: YaoGraph) -> bool:
 def yao_bruteforce(P, S) -> YaoGraph:
     """Reference construction scanning every candidate per terminal, O(nm).
 
-    Precondition: P and S are non-empty (not checked here).
+    An empty P gives a (0, 6) table and an empty S a table of empty cones.
     """
     P = as_points(P, "P")
     S = as_points(S, "S")
@@ -192,29 +192,42 @@ def yao_bruteforce(P, S) -> YaoGraph:
 
 # cos and sin of the ray at c * 60 degrees, c = 0..6
 _RAYS = np.array([(math.cos(c * CONE_ANGLE), math.sin(c * CONE_ANGLE)) for c in range(NUM_CONES + 1)])
+# Each cone's two half-plane tests, read by the proof and the search: q can
+# lie in cone c of p only if d = q - p has cross(lower, d) >= -tol and
+# cross(upper, d) < tol (< 0 without `slack`).  Cones 2 and 5 test the exact
+# sign of d_y instead (upper ray on the x axis), which settles horizontal lines.
+_CONES = np.array(
+    [(_RAYS[c], _RAYS[c + 1], True) for c in range(NUM_CONES)],
+    dtype=[("lower", float, 2), ("upper", float, 2), ("slack", bool)],
+)
+_CONES[[2, 5]] = [(_RAYS[2], (-1.0, 0.0), False), (_RAYS[5], (1.0, 0.0), False)]
 
 
-def _cross(ray: int, pts: np.ndarray) -> np.ndarray:
-    """cross(u, x) for every row x, u the unit ray at angle ray * 60 degrees."""
-    cos, sin = _RAYS[ray]
+def _cross(ray, pts: np.ndarray) -> np.ndarray:
+    """cross(u, x) for every row x, u = (cos, sin) one ray or a (2, k) array of one per row."""
+    cos, sin = ray
     return cos * pts[:, 1] - sin * pts[:, 0]
 
 
 def _tolerance(P: np.ndarray, S: np.ndarray) -> float:
-    """Slack of the half-plane tests, 1e-12 of the largest coordinate magnitude."""
+    """Slack of the half-plane tests: 1e-12 of the largest magnitude, far above the classification's rounding."""
     return 1e-12 * max(np.abs(P).max(), np.abs(S).max())
+
+
+def _cone_tests(c, apex: np.ndarray, tol: float):
+    """Tests of cone c at each apex: q passes if -cross(lower, q) <= t_a and cross(upper, q) < t_b.
+
+    Returns (lower, t_a, upper, t_b); with one cone per apex the rays are (2, k) arrays.
+    """
+    cone = _CONES[c]
+    lower, upper = cone["lower"].T, cone["upper"].T
+    return lower, tol - _cross(lower, apex), upper, _cross(upper, apex) + cone["slack"] * tol
 
 
 def _empty_cones(P: np.ndarray, S: np.ndarray) -> np.ndarray:
     """(n, 6) mask of the cones that provably hold no candidate.
 
-    A candidate q classifies into cone c of p only if d = q - p lies
-    counterclockwise of the ray at c * 60 degrees, cross(u_c, d) >= -tol,
-    and clockwise of the ray at (c + 1) * 60 degrees, cross(u_c+1, d) <= tol.
-    `tol` is 1e-12 of the largest coordinate magnitude, far above the
-    rounding of the float classification.  Cones 2 and 5 use the exact
-    sign of d_y for their upper ray instead, so a set on a horizontal line
-    settles them too.  Each cone is then a two-sided dominance query,
+    Each cone's tests (`_cone_tests`) make a two-sided dominance query,
     answered for all terminals from one sort of S; a candidate on the apex
     lies in no cone, so when it holds the prefix minimum the next one counts.
     """
@@ -222,25 +235,22 @@ def _empty_cones(P: np.ndarray, S: np.ndarray) -> np.ndarray:
     tol = _tolerance(P, S)
     empty = np.zeros((len(P), NUM_CONES), dtype=bool)
     for c in range(NUM_CONES):
-        a = _cross(c, S)
+        lower, t_a, upper, t_b = _cone_tests(c, P, tol)
+        a = _cross(lower, S)
         order = np.argsort(-a)
-        if c in (2, 5):
-            sign = 1.0 if c == 5 else -1.0  # cone 2 needs d_y > 0, cone 5 d_y < 0
-            b, b_p, slack = sign * S[order, 1], sign * P[:, 1], 0.0
-        else:
-            b, b_p, slack = _cross(c + 1, S)[order], _cross(c + 1, P), tol
+        b = _cross(upper, S)[order]
         # prefix minimum of b, where it first occurs, and the minimum without that entry
         low = np.minimum.accumulate(b)
         record = np.r_[True, b[1:] < low[:-1]]
         at = np.maximum.accumulate(np.where(record, np.arange(m), 0))
         rest = np.minimum.accumulate(np.where(record, np.inf, b))
         second = np.minimum(np.r_[np.inf, low][at], rest)
-        # candidates counterclockwise of ray c form the prefix of length k
-        k = np.searchsorted(-a[order], tol - _cross(c, P), side="right")
+        # candidates that pass the lower test form the prefix of length k
+        k = np.searchsorted(-a[order], t_a, side="right")
         i = np.maximum(k - 1, 0)
         on_apex = (S[order[at[i]]] == P).all(axis=1)
         reach = np.where(on_apex, second[i], low[i])
-        empty[:, c] = (k == 0) | ~(reach < b_p + slack)
+        empty[:, c] = (k == 0) | ~(reach < t_b)
     return empty
 
 
@@ -334,11 +344,9 @@ def _leaf_points(boxes: _Boxes, leaf: np.ndarray) -> np.ndarray:
 def _walk(boxes: _Boxes, test: np.ndarray, cone: np.ndarray, r2: np.ndarray, seen: np.ndarray, m: int):
     """Nearest in-cone candidate within squared radius r2 of each query.
 
-    Column i of `test` holds query i's apex (x, y) and the two half-plane
-    tests of `_empty_cones` for its cone: a candidate q can lie in the
-    cone only if sin_a * q_x - cos_a * q_y <= t_a and cos_b * q_y -
-    sin_b * q_x < t_b.  Both sides are monotone in each coordinate, so a
-    box whose best corner fails either test holds no such candidate.  The
+    Column i of `test` holds query i's apex (x, y) and the `_cone_tests`
+    of its cone.  Each test is monotone in each coordinate, so a box whose
+    best corner fails either holds no candidate of the cone.  The
     walk goes down one level at a time with a frontier of (query, box)
     pairs, dropping a pair when its box fails a test, lies farther than
     r2, or lies within `seen`, a squared radius an earlier walk searched
@@ -418,17 +426,7 @@ def _cone_search(kdtree, P, S, cells, radius, best_w, best_s) -> None:
     gx = np.maximum(apex[:, 0] - x0, x1 - apex[:, 0])
     gy = np.maximum(apex[:, 1] - y0, y1 - apex[:, 1])
     cover = gx * gx + gy * gy  # no candidate lies farther
-
-    # the tests of `_empty_cones`: cones 2 and 5 check the sign of d_y
-    tol = _tolerance(apex, S)
-    cos_a, sin_a = _RAYS[c].T
-    cos_b, sin_b = _RAYS[c + 1].T
-    sign = np.where(c == 2, -1.0, 1.0)
-    by_y = (c == 2) | (c == 5)
-    cos_b, sin_b = np.where(by_y, sign, cos_b), np.where(by_y, 0.0, sin_b)
-    t_a = tol - (cos_a * apex[:, 1] - sin_a * apex[:, 0])
-    t_b = (cos_b * apex[:, 1] - sin_b * apex[:, 0]) + np.where(by_y, 0.0, tol)
-    test = np.vstack((apex.T, cos_a, sin_a, t_a, cos_b, sin_b, t_b))
+    test = np.vstack((apex.T, *_cone_tests(c, apex, _tolerance(apex, S))))
 
     chunk = max(1, _BLOCK >> 7)
     todo = np.arange(len(cells))
@@ -475,13 +473,14 @@ def yao_bipartite(P, S) -> YaoGraph:
     The module constants `_KNN_START`, `_LEAF_SIZE`, `_PARALLEL_MIN` and
     `_BLOCK`, and the visit order, only trade speed and memory; any
     setting yields the same graph.
-    Precondition: P and S are non-empty (not checked here).
     """
     P = as_points(P, "P")
     S = as_points(S, "S")
     n, m = len(P), len(S)
-    best_w = np.empty((n, NUM_CONES))
-    best_s = np.empty((n, NUM_CONES), dtype=np.int64)
+    best_w = np.full((n, NUM_CONES), np.inf)
+    best_s = np.full((n, NUM_CONES), m, dtype=np.int64)
+    if not (n and m):
+        return YaoGraph(m, best_w, best_s)
     done = np.empty((n, NUM_CONES), dtype=bool)
     radius = np.empty(n)
 

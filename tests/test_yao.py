@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsteiner.generators import gen_maxgap_instance, gen_random_instance
-from bsteiner.geometry import cone_indices, squared_distance_matrix
+from bsteiner.geometry import cone_indices, cone_indices_from_deltas, squared_distance_matrix
 from bsteiner.solver import validate_instance
 from bsteiner import yao
 from bsteiner.yao import row_any, row_min, same_edges, yao_bipartite, yao_bruteforce
@@ -97,6 +97,62 @@ def test_overlap_rejected(monkeypatch):
             with monkeypatch.context() as mp:
                 force_fallback(mp, 2, 3)
                 assert same_edges(g, yao_bipartite(S, S))
+
+
+@pytest.mark.parametrize(
+    "P, S",
+    [([], [(1.0, 2.0), (3.0, 0.0)]), ([(0.0, 0.0), (0.0, 0.0), (5.0, 1.0)], []), ([], [])],
+    ids=["no-terminal", "no-candidate", "both-empty"],
+)
+def test_empty_sets_give_empty_tables(P, S):
+    # no terminal gives no row, no candidate a row of empty cones
+    a, b = yao_bruteforce(P, S), yao_bipartite(P, S)
+    assert b.best_w.shape == b.best_s.shape == (len(P), 6)
+    assert b.best_s.dtype == a.best_s.dtype == np.int64
+    assert same_edges(a, b)
+    assert (b.best_s == len(S)).all() and (b.best_w == np.inf).all()
+
+
+def _cone_table_cases(family):
+    """(q, P) pairs: one candidate q and apexes P around it, the directions q - P of one family."""
+    rng = np.random.default_rng(316)
+    Q = np.array([(0.0, 0.0), (3.25, -1.5), (-7.0e5, 2.0e5)])
+    if family == "random":
+        return [(q, q - rng.normal(0.0, 10.0, (2000, 2))) for q in Q]
+    if family == "near-ray":
+        # each 60-degree ray, each component off by a few ulps, at three scales
+        eps = np.arange(-4, 5) * 2.0**-52
+        off = 1.0 + np.stack(np.meshgrid(eps, eps), axis=-1)
+        d = (yao._RAYS[:6, None, None, :] * off).reshape(-1, 2)
+        return [(q, q - d * scale) for q in Q for scale in (2.0**-30, 1.0, 2.0**30)]
+    if family == "signed-zero":
+        # d_x and d_y of +-0.0 and +-1, d_y = +-0 on both sides of the x axis among them
+        Z = np.array([(x, y) for x in (-1.0, -0.0, 0.0, 1.0) for y in (-1.0, -0.0, 0.0, 1.0)])
+        return [(q, Z) for q in Z]
+    pool = np.array(DEGENERATE_POOLS[family], dtype=float)
+    return [_to_magnitude(pool[i : i + 1], pool, e) for e in (None, 499, -400) for i in range(len(pool))]
+
+
+@pytest.mark.parametrize("family", ["random", "near-ray", "signed-zero", "line60", "line120"])
+def test_cone_table_admits_every_classified_direction(family):
+    # every direction that the classification puts in cone c passes cone
+    # c's two tests in `yao._CONES` with the slack of `_tolerance`, both as
+    # a point and as the one-point box [q, q] of the walk
+    for q, P in _cone_table_cases(family):
+        q = np.ravel(q)
+        dx, dy = q[0] - P[:, 0], q[1] - P[:, 1]
+        keep = (dx != 0) | (dy != 0)  # a candidate on the apex lies in no cone
+        P, c = P[keep], cone_indices_from_deltas(dx[keep], dy[keep])
+        tol = yao._tolerance(P, q[None])
+        lower, t_a, upper, t_b = yao._cone_tests(c, P, tol)
+        Q = np.broadcast_to(q, P.shape)
+        assert (-yao._cross(lower, Q) <= t_a).all()
+        assert (yao._cross(upper, Q) < t_b).all()
+        box = q[[0, 1, 0, 1], None]
+        boxes = yao._Boxes(np.array([0]), box[0], box[1], np.array([0]), np.array([1]), [box])
+        test = np.vstack((P.T, lower, t_a, upper, t_b))
+        _, s, _ = yao._walk(boxes, test, c, np.full(len(P), np.inf), np.full(len(P), -1.0), 1)
+        assert (s == 0).all()
 
 
 def test_lines_prove_their_empty_cones():
