@@ -218,30 +218,36 @@ def _blocks(pts: np.ndarray):
         todo.append((np.sort(idx[order[:half]]), lo, low_hi))
 
 
-def _seam(pts: np.ndarray, tri: Delaunay, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _seam(
+    pts: np.ndarray, tri: Delaunay, corner: np.ndarray, w: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
     """Mask of the block points that may end a spanning tree edge leaving the box.
 
     An interior point's Voronoi cell lies within rho_max of it, the largest
     circumradius of its triangles, so its tree edges are at most 2 rho_max
     long.  Points within that reach of the box boundary are seam points,
-    and so is every hull vertex, whose cell is unbounded.  rho is an upper
-    bound computed on coordinates scaled by a power of two below 1, so no
-    product overflows; a triangle whose area or edge product comes near
-    underflow gets rho = inf.
+    and so is every hull vertex, whose cell is unbounded.
+
+    rho is an upper bound read from the triangles' corners and squared
+    side lengths `w` (`_sides`).  In the coordinate domain of `as_points`
+    the cross products and squared lengths neither overflow nor go
+    subnormal; both are then scaled as if the coordinates were scaled by
+    a power of two below 1, so the product of the three squared sides
+    stays below 2**9.  A triangle whose area or squared side product
+    comes near underflow gets rho = inf.
     """
     e = np.frexp(np.abs(pts).max())[1]
-    q = np.ldexp(pts, -e)
-    sim = tri.simplices
-    a, b, c = q[sim[:, 0]], q[sim[:, 1]], q[sim[:, 2]]
-    d1, d2, d3 = b - a, c - a, c - b
+    d1, d2 = corner[1] - corner[0], corner[2] - corner[0]
     s, t = d1[:, 0] * d2[:, 1], d1[:, 1] * d2[:, 0]
-    area2 = np.abs(s - t) - 2.0**-40 * (np.abs(s) + np.abs(t))  # <= twice the area
-    abc = np.hypot(d1[:, 0], d1[:, 1]) * np.hypot(d2[:, 0], d2[:, 1]) * np.hypot(d3[:, 0], d3[:, 1])
-    rho = np.full(len(sim), np.inf)
-    np.divide(abc, 2.0 * area2, out=rho, where=np.minimum(area2, abc) > 2.0**-900)
+    # <= twice the area
+    area2 = np.ldexp(np.abs(s - t) - 2.0**-40 * (np.abs(s) + np.abs(t)), -2 * e)
+    q = np.ldexp(w, -2 * e)
+    abc2 = q[0] * q[1] * q[2]
+    rho = np.full(len(area2), np.inf)
+    np.divide(np.sqrt(abc2), 2.0 * area2, out=rho, where=np.minimum(area2, abc2) > 2.0**-900)
     rho_max = np.zeros(len(pts))
     for k in range(3):
-        np.maximum.at(rho_max, sim[:, k], rho)
+        np.maximum.at(rho_max, tri.simplices[:, k], rho)
     reach = np.ldexp(np.minimum(pts - lo, hi - pts).min(axis=1), -e)
     seam = ~(2.0 * rho_max * (1.0 + 2.0**-20) < reach)
     seam[tri.convex_hull] = True
@@ -259,28 +265,37 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[run_starts(keys)]
 
 
-def _triangle_keys(sim: np.ndarray, pts: np.ndarray, label: np.ndarray, m: int) -> np.ndarray:
+def _sides(sim: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Corners (3, t, 2) of the triangles `sim` of pts and squared side lengths (3, t).
+
+    Side k joins corners k and k - 1 and is weighed as `_kruskal` weighs
+    it, with `pair_squared_distances` of its ends.  pts may hold 0.0
+    where the input holds -0.0, which changes no squared difference.
+    """
+    corner = np.take(pts, sim.T, axis=0)
+    w = np.empty((3, len(sim)))
+    for k in range(3):
+        w[k] = pair_squared_distances(corner[k], corner[k - 1])
+    return corner, w
+
+
+def _triangle_keys(sim: np.ndarray, w: np.ndarray, label: np.ndarray, m: int) -> np.ndarray:
     """Sorted distinct keys of the triangle sides that are no triangle's heaviest side.
 
-    Vertex i of `sim` is the point pts[i] with label[i].  A side's key is
-    min*m + max of its labels, and it is weighed as `_kruskal` weighs it:
-    `pair_squared_distances` of its ends, ranked by (w, key).  pts may
-    hold 0.0 where the input holds -0.0, which changes no squared
-    difference.  All three sides of a triangle are candidate edges, so
-    its heaviest side is the strict maximum of a 3-cycle, and by the
-    cycle property no (w, u, v) spanning tree holds it.  Each triangle
-    tags its heaviest side; one sort of key*2 + tag then lists each key's
-    entries with the tagged ones last, and a key survives when the last
-    entry of its run is untagged.
+    Vertex i of `sim` has label[i], and `w` holds the squared side lengths
+    of `_sides`.  A side's key is min*m + max of its labels, and the sides
+    are ranked by (w, key), as `_kruskal` ranks edges.  All three sides of
+    a triangle are candidate edges, so its heaviest side is the strict
+    maximum of a 3-cycle, and by the cycle property no (w, u, v) spanning
+    tree holds it.  Each triangle tags its heaviest side; one sort of
+    key*2 + tag then lists each key's entries with the tagged ones last,
+    and a key survives when the last entry of its run is untagged.
     """
     t = len(sim)
-    corner = np.take(pts, sim.T, axis=0)  # (3, t, 2)
     lab = np.take(label, sim.T)
     keys = np.empty((3, t), dtype=np.int64)
-    w = np.empty((3, t))
     for k in range(3):  # side k joins corners k and k - 1
         keys[k] = _pair_keys(lab[k], lab[k - 1], m)
-        w[k] = pair_squared_distances(corner[k], corner[k - 1])
 
     def over(i, j):  # side i ranks above side j in (w, key) order
         return (w[i] > w[j]) | ((w[i] == w[j]) & (keys[i] > keys[j]))
@@ -326,17 +341,18 @@ def _delaunay_keys(upts: np.ndarray, rep: np.ndarray, m: int) -> np.ndarray | No
         if any(tri is None for tri in tris):
             return None
         for (idx, lo, hi), pts, tri in zip(pair, points, tris):
-            parts.append(_triangle_keys(tri.simplices, pts, rep[idx], m))
+            corner, w = _sides(tri.simplices, pts)
+            parts.append(_triangle_keys(tri.simplices, w, rep[idx], m))
             if len(idx) < len(upts):
-                seam.append(idx[_seam(pts, tri, lo, hi)])
-        del tris, tri  # before the next pair's triangulations are built
+                seam.append(idx[_seam(pts, tri, corner, w, lo, hi)])
+        del tris, tri, corner, w  # before the next pair's triangulations are built
     if seam:
         idx = np.sort(np.concatenate(seam))
         pts = upts[idx]
         tri = _delaunay(pts)
         if tri is None:
             return None
-        parts.append(_triangle_keys(tri.simplices, pts, rep[idx], m))
+        parts.append(_triangle_keys(tri.simplices, _sides(tri.simplices, pts)[1], rep[idx], m))
     return _distinct(np.concatenate(parts))
 
 

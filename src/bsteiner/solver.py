@@ -6,7 +6,12 @@ threshold decision procedure, then assembly of the at most six candidate
 trees and selection of the one with the smallest bottleneck.  The search
 starts above the attach lower bound max_p min_cone w(p, s), the largest
 row minimum of the Yao graph's (n, 6) table, below which no threshold can
-succeed.  All weights are squared lengths end to end.
+succeed.  It ends at the first threshold above a minimax upper bound: the
+largest over terminals of the cheapest cell whose cost is the larger of
+its edge and the largest tree edge between its candidate and the binding
+terminal's nearest candidate (Hu 1961).  Above that bound the decision
+succeeds; the threshold just below it is probed first and usually ends
+the search.  All weights are squared lengths end to end.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .decision import (
     SolverContext,
     candidate_components,
     forest_components,
+    tree_bottlenecks,
 )
 from .emst import euclidean_mst, sparse_graph
 from .geometry import as_points, check_disjoint, pair_squared_distances
@@ -94,20 +100,38 @@ def binary_search_threshold(ctx: SolverContext) -> int:
     candidate set is empty.  The bound max_p min_cone w(p, s) is positive,
     so this also skips the zero threshold that duplicate candidates put
     first.
+
+    When that leaves more than one probe to make, the search also ends
+    below the minimax bound U = max_p min_cone max(w(p, s), B[s]), where B
+    is the largest tree edge on the path from the root r, the candidate
+    in the binding terminal's nearest cell (`tree_bottlenecks`).  Above U
+    every terminal has a shorter cell inside r's component, so the
+    decision there succeeds.  U is often exact, so the index just below
+    it is probed first, and only a success there leaves a bisection.
     """
+    yao = ctx.yao
     # every row holds a finite cell: a terminal's nearest candidate lies in some cone
-    attach = row_min(ctx.yao.best_w).max()
+    nearest = row_min(yao.best_w)
     thresholds = ctx.emst.thresholds
     k = len(thresholds)
-    lo = int(np.searchsorted(thresholds, attach, side="right")) + 1
+    lo = int(np.searchsorted(thresholds, nearest.max(), side="right")) + 1
     hi = k + 1
+    mid = (lo + hi) // 2
+    # one probe settles a range of one, and costs less than the bound at scale
+    if hi - lo >= 2:
+        p = int(np.argmax(nearest))
+        root = int(yao.best_s[p, np.argmin(yao.best_w[p])])
+        # an empty cell's inf length hides its clipped index, as in `cell_labels`
+        reach = np.maximum(yao.best_w, tree_bottlenecks(ctx.emst, root).take(yao.best_s, mode="clip"))
+        hi = min(hi, int(np.searchsorted(thresholds, row_min(reach).max(), side="right")) + 1)
+        mid = hi - 1
     while lo < hi:
-        mid = (lo + hi) // 2
         labeling = forest_components(ctx.emst, threshold_value(ctx.emst, mid))
         if candidate_components(ctx, labeling):
             hi = mid
         else:
             lo = mid + 1
+        mid = (lo + hi) // 2
     return lo
 
 

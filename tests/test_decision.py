@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bsteiner.decision import compare_to_optimal, forest_components
+from bsteiner.decision import compare_to_optimal, forest_components, tree_bottlenecks
 from bsteiner.emst import euclidean_mst
 from bsteiner.oracle import brute_force_optimum
 from bsteiner.generators import gen_random_instance
@@ -151,3 +151,43 @@ def test_candidate_set_small():
         ctx = preprocess(P, S)
         for lam in rng.uniform(0.01, 2000.0, 6):
             assert len(compare_to_optimal(ctx, float(lam))) <= 6
+
+
+def bottleneck_families(rng):
+    """Small candidate sets on which path maxima meet ties and degeneracy."""
+    yield "m=1", np.array([[3.0, -2.0]])
+    yield "m=2", np.array([[0.0, 0.0], [1.5, -2.0]])
+    m = int(rng.integers(3, 40))
+    # half-integer lattice with repeats: zero thresholds come first
+    yield "lattice", rng.integers(-4, 5, (m, 2)) / 2.0
+    t = rng.integers(-6, 7, m)
+    yield "collinear", np.column_stack((t, 2 * t)).astype(float)
+    # integer points on x^2 + y^2 = 5525, which has 48 of them
+    r = np.arange(-74, 75)
+    x, y = np.meshgrid(r, r)
+    on = x * x + y * y == 5525
+    circle = np.column_stack((x[on], y[on])).astype(float)
+    yield "cocircular", circle[rng.choice(len(circle), min(m, len(circle)), replace=False)]
+    yield "uniform", rng.uniform(-50.0, 50.0, (m, 2))
+
+
+def test_tree_bottlenecks_match_the_labeling():
+    # B[s] < lam exactly when s shares root's component at lam, at every
+    # positive threshold, just above each, and at infinity, from every root
+    rng = np.random.default_rng(1961)
+    seen = set()
+    for _ in range(6):
+        for family, S in bottleneck_families(rng):
+            seen.add(family)
+            emst = euclidean_mst(S)
+            m = emst.point_count
+            th = emst.thresholds[emst.thresholds > 0]
+            lams = np.concatenate((th, np.nextafter(th, np.inf), [np.inf]))
+            labels = [forest_components(emst, float(lam)).label for lam in lams]
+            for root in range(m):
+                b = tree_bottlenecks(emst, root)
+                assert b.shape == (m,) and b[root] == 0.0
+                assert set(b.tolist()) <= set(emst.edge_w.tolist()) | {0.0}
+                for lam, label in zip(lams, labels):
+                    assert np.array_equal(b < lam, label == label[root])
+    assert seen == {"m=1", "m=2", "lattice", "collinear", "cocircular", "uniform"}

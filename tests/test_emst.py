@@ -525,12 +525,16 @@ def test_seam_radius_survives_extreme_magnitudes():
     hull = np.zeros(len(base), dtype=bool)
     hull[tri.convex_hull] = True
     lo, hi = np.array([-0.5, -np.inf]), np.full(2, np.inf)
-    want = emst._seam(base, tri, lo, hi)
+
+    def seam(pts, lo, hi):
+        return emst._seam(pts, tri, *emst._sides(tri.simplices, pts), lo, hi)
+
+    want = seam(base, lo, hi)
     assert hull.any() and (want & ~hull).any() and not want.all()
     for scale in (2.0**499, 2.0**-400):
         with np.errstate(all="raise"):
-            assert np.array_equal(emst._seam(base * scale, tri, -hi, hi), hull)
-            assert np.array_equal(emst._seam(base * scale, tri, lo * scale, hi), want)
+            assert np.array_equal(seam(base * scale, -hi, hi), hull)
+            assert np.array_equal(seam(base * scale, lo * scale, hi), want)
 
 
 def test_peak_memory_of_the_candidate_edges_stays_bounded():

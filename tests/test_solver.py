@@ -276,22 +276,43 @@ def linear_scan_index(ctx):
     raise AssertionError("the infinite threshold always succeeds")
 
 
+def search_instance(rng, family):
+    """A small instance of one of the search test families (0-3)."""
+    n = int(rng.integers(1, 15))
+    m = int(rng.integers(1, 25))
+    if family == 0:
+        # half-integer lattice: duplicate candidates put zero thresholds first
+        S = rng.integers(-3, 4, (m, 2)) / 2.0
+        P = rng.integers(-3, 4, (n, 2)) / 2.0 + 0.25
+    elif family == 1:
+        # terminals clustered inside spread candidates: the optimum binds mid-way
+        S = rng.uniform(0.0, 60.0, (m, 2))
+        P = rng.uniform(25.0, 35.0, (n, 2))
+    elif family == 2:
+        P, S = gen_random_instance(n, m, 60.0, seed=int(rng.integers(1 << 31)))
+    else:
+        P, S = blob_shaped(rng, n, 2 * m)
+    return P, S
+
+
+def blob_shaped(rng, n, m):
+    """Terminals in a disc of radius 48 inside a disc of radius 60 that holds
+    half the candidates; the other half spreads over a 1000 x 1000 square."""
+
+    def disc(k, radius):
+        r = radius * np.sqrt(rng.uniform(0.0, 1.0, k))
+        t = rng.uniform(0.0, 2.0 * np.pi, k)
+        return 500.0 + np.column_stack((r * np.cos(t), r * np.sin(t)))
+
+    S = np.concatenate((disc(m // 2, 60.0), rng.uniform(0.0, 1000.0, (m - m // 2, 2))))
+    return disc(n, 48.0), S
+
+
 def test_search_index_matches_linear_scan():
     rng = np.random.default_rng(905)
     inner = 0
     for trial in range(120):
-        n = int(rng.integers(1, 15))
-        m = int(rng.integers(1, 25))
-        if trial % 3 == 0:
-            # half-integer lattice: duplicate candidates put zero thresholds first
-            S = rng.integers(-3, 4, (m, 2)) / 2.0
-            P = rng.integers(-3, 4, (n, 2)) / 2.0 + 0.25
-        elif trial % 3 == 1:
-            # terminals clustered inside spread candidates: the optimum binds mid-way
-            S = rng.uniform(0.0, 60.0, (m, 2))
-            P = rng.uniform(25.0, 35.0, (n, 2))
-        else:
-            P, S = gen_random_instance(n, m, 60.0, seed=int(rng.integers(1 << 31)))
+        P, S = search_instance(rng, trial % 3)
         ctx = preprocess(P, S)
         ell = binary_search_threshold(ctx)
         assert ell == linear_scan_index(ctx)
@@ -299,6 +320,50 @@ def test_search_index_matches_linear_scan():
         lam, _ = brute_force_optimum(P, S)
         assert solve(P, S).lambda_star == lam
     assert inner >= 20
+
+
+def plain_bisection(ctx):
+    """Index and probe count of a bisection from the attach bound to k + 1."""
+    thresholds = ctx.emst.thresholds
+    attach = squared_distance_matrix(ctx.P, ctx.S).min(axis=1).max()
+    lo = int(np.searchsorted(thresholds, attach, side="right")) + 1
+    hi = len(thresholds) + 1
+    probes = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probes += 1
+        if compare_to_optimal(ctx, threshold_value(ctx.emst, mid)):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, probes
+
+
+def test_minimax_bound_costs_at_most_one_probe(monkeypatch):
+    # the probe below the minimax bound comes on top of a bisection of a
+    # range no wider than the plain one, and on blob-shaped input it is
+    # usually the only probe
+    calls = count_decision_calls(monkeypatch)
+    rng = np.random.default_rng(1961)
+    saved = 0
+    for trial in range(160):
+        P, S = search_instance(rng, trial % 4)
+        ctx = preprocess(P, S)
+        del calls[:]
+        ell = binary_search_threshold(ctx)
+        assert ell == linear_scan_index(ctx)
+        want, plain = plain_bisection(ctx)
+        assert ell == want and len(calls) <= plain + 1
+        saved += plain - len(calls)
+    assert saved > 0
+
+    for seed in (0, 15):  # the bound is exact on both; on seed 0 one probe confirms it
+        ctx = preprocess(*blob_shaped(np.random.default_rng(seed), 2**9, 2**12))
+        del calls[:]
+        ell = binary_search_threshold(ctx)
+        want, plain = plain_bisection(ctx)
+        assert ell == want and ell <= len(ctx.emst.thresholds)
+        assert len(calls) <= 1 and plain >= 10
 
 
 def test_timings_present():
