@@ -27,11 +27,11 @@ triangulation of all seam points supplies those edges.
 Blocks are triangulated two at a time: the second of each consecutive
 pair on one helper thread, the first on the calling thread.  Qhull
 releases the interpreter lock, so the two calls overlap.  The helper is
-created on first use and kept for the life of the process; a process
-forked after that creates its own on first use.  Only Qhull runs on the
-helper, so at most two Qhull calls of one `euclidean_mst` are in flight,
-and the pair's partner has returned before its edges are read, before
-the seam call and before any fallback starts.
+built with the module and kept for the life of the process; a forked
+child builds its own.  Only Qhull runs on the helper, so at most two
+Qhull calls of one `euclidean_mst` are in flight, and the pair's partner
+has returned before its edges are read, before the seam call and before
+any fallback starts.
 
 Point sets where some call does not triangulate every point (collinear
 blocks, near-duplicates Qhull drops as coplanar) take the six-cone Yao
@@ -42,7 +42,6 @@ A dense Prim implementation serves as the independent reference.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -152,30 +151,20 @@ def _delaunay(pts: np.ndarray) -> Delaunay | None:
     return tri if len(tri.coplanar) == 0 else None
 
 
-# The one helper thread that triangulates every second block, created on
-# first use and then kept: on a 2-core machine a thread per call, or glue
-# run on a second thread, raised the benchmark's peak resident memory by
-# 10-13 %, against 4-7 % for one persistent thread that runs only
-# Qhull.  A forked child inherits the executor but not its thread, and
-# would wait forever on it, so the child forgets it and creates its own.
-_helper: ThreadPoolExecutor | None = None
-_helper_lock = threading.Lock()
-
-
-def _helper_executor() -> ThreadPoolExecutor:
+# The one helper thread that triangulates every second block, kept for the
+# life of the process: on a 2-core machine a thread per call, or glue run
+# on a second thread, raised the benchmark's peak resident memory by
+# 10-13 %, against 4-7 % for one persistent thread that runs only Qhull.
+# The executor is built with the module and starts its thread at the first
+# submit, which is thread-safe.  A forked child inherits the executor but
+# not its thread, and would wait forever on it, so the child builds its own.
+def _new_helper() -> None:
     global _helper
-    with _helper_lock:
-        if _helper is None:
-            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bsteiner-delaunay")
-        return _helper
+    _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bsteiner-delaunay")
 
 
-def _forget_helper() -> None:
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_helper)
+_new_helper()
+os.register_at_fork(after_in_child=_new_helper)
 
 
 def _delaunay_pair(points: list[np.ndarray]) -> list[Delaunay | None]:
@@ -186,7 +175,7 @@ def _delaunay_pair(points: list[np.ndarray]) -> list[Delaunay | None]:
     Qhull call outlives this function, and an exception raised on the
     helper reaches the caller unchanged.
     """
-    pending = [_helper_executor().submit(_delaunay, pts) for pts in points[1:]]
+    pending = [_helper.submit(_delaunay, pts) for pts in points[1:]]
     try:
         first = _delaunay(points[0])
     finally:

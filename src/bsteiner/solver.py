@@ -101,7 +101,7 @@ def binary_search_threshold(ctx: SolverContext) -> int:
     so this also skips the zero threshold that duplicate candidates put
     first.
 
-    When that leaves more than one probe to make, the search also ends
+    When bisection would take three or more probes, the search also ends
     below the minimax bound U = max_p min_cone max(w(p, s), B[s]), where B
     is the largest tree edge on the path from the root r, the candidate
     in the binding terminal's nearest cell (`tree_bottlenecks`).  Above U
@@ -117,8 +117,8 @@ def binary_search_threshold(ctx: SolverContext) -> int:
     lo = int(np.searchsorted(thresholds, nearest.max(), side="right")) + 1
     hi = k + 1
     mid = (lo + hi) // 2
-    # one probe settles a range of one, and costs less than the bound at scale
-    if hi - lo >= 2:
+    # two probes settle a range of up to three, and cost less than the bound at scale
+    if hi - lo >= 4:
         p = int(np.argmax(nearest))
         root = int(yao.best_s[p, np.argmin(yao.best_w[p])])
         # an empty cell's inf length hides its clipped index, as in `cell_labels`

@@ -63,15 +63,6 @@ _KNN_START = 32
 # search is about as fast with leaves of 16 to 64 points (62-72 ms along a
 # line of 2**13 points at 60 degrees, 0.48-0.52 s on a circle of 2**12).
 _LEAF_SIZE = 64
-# A kNN round uses every core only when it fetches at least this many
-# neighbors.  Smaller rounds take a few ms, and split over threads they
-# wait on the slower thread whenever another process holds a core: on the
-# hull workload, then of rounds up to 2**17 fetches, eight alternating 30 s
-# runs on a shared 2-core machine spread by 16 % of their median (quartile
-# distance), against 4 % single-threaded.  Its one round of 2**11 * 32 =
-# 2**16 fetches now read 19-26 % threaded against 4-32 % in one session, no
-# verdict.  At 2**14 terminals a round fetches 2**19, and threads save 40 %.
-_PARALLEL_MIN = 1 << 18
 # Each round's neighbor lists are reduced in row blocks of about this many
 # neighbors, so the glue around the query holds a few (rows, k) arrays of
 # 2**15 entries instead of eight of the whole round's size: at 2**14
@@ -470,9 +461,9 @@ def yao_bipartite(P, S) -> YaoGraph:
     and ties compare candidate indices, so neither the order nor the
     blocks change the graph.
 
-    The module constants `_KNN_START`, `_LEAF_SIZE`, `_PARALLEL_MIN` and
-    `_BLOCK`, and the visit order, only trade speed and memory; any
-    setting yields the same graph.
+    The module constants `_KNN_START`, `_LEAF_SIZE` and `_BLOCK`, and the
+    visit order, only trade speed and memory; any setting yields the same
+    graph.
     """
     P = as_points(P, "P")
     S = as_points(S, "S")
@@ -488,7 +479,7 @@ def yao_bipartite(P, S) -> YaoGraph:
     Sx, Sy = np.ascontiguousarray(S[:, 0]), np.ascontiguousarray(S[:, 1])
     order = _z_order(P)
     k = min(_KNN_START, m)
-    d, idx = kdtree.query(P[order], k=k, workers=-1 if n * k >= _PARALLEL_MIN else 1)
+    d, idx = kdtree.query(P[order], k=k, workers=-1)
     idx = np.atleast_1d(idx).reshape(n, k)
     radius[order] = np.atleast_1d(d).reshape(n, k)[:, -1]
     del d

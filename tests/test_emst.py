@@ -459,10 +459,11 @@ def test_helper_exception_reaches_the_caller_unchanged(monkeypatch):
 
 
 def test_concurrent_callers_share_one_helper(monkeypatch):
-    # Four callers race to create the helper under a tiny switch interval:
+    # Four callers race to start a fresh helper under a tiny switch interval:
     # they share one helper thread, and each gets the exact tree.
     monkeypatch.setattr(emst, "_DT_BLOCK", 16)
-    monkeypatch.setattr(emst, "_helper", None)
+    monkeypatch.setattr(emst, "_helper", emst._helper)
+    emst._new_helper()
     events = spy_delaunay(monkeypatch)
     S = np.random.default_rng(9).uniform(0, 50, (120, 2))
     want = kruskal_all_pairs(S)
@@ -482,8 +483,7 @@ def test_concurrent_callers_share_one_helper(monkeypatch):
             t.join(60)
     finally:
         sys.setswitchinterval(interval)
-        if emst._helper is not None:
-            emst._helper.shutdown()
+        emst._helper.shutdown()
     assert not any(t.is_alive() for t in threads)
     assert got == {i: want for i in range(4)}
     assert len({ident for _, ident, _ in events} - callers) == 1

@@ -366,6 +366,37 @@ def test_minimax_bound_costs_at_most_one_probe(monkeypatch):
         assert len(calls) <= 1 and plain >= 10
 
 
+def test_short_ranges_skip_the_minimax_bound(monkeypatch):
+    # a range of two or three indices takes at most two probes: the bound
+    # could save one of them, and its walk of the tree costs more at scale
+    calls = count_decision_calls(monkeypatch)
+    bounds = []
+    real = solver.tree_bottlenecks
+
+    def spy(emst, root):
+        bounds.append(root)
+        return real(emst, root)
+
+    monkeypatch.setattr(solver, "tree_bottlenecks", spy)
+    rng = np.random.default_rng(1962)
+    short = wide = 0
+    for trial in range(240):
+        P, S = search_instance(rng, trial % 4)
+        ctx = preprocess(P, S)
+        thresholds = ctx.emst.thresholds
+        attach = squared_distance_matrix(ctx.P, ctx.S).min(axis=1).max()
+        span = len(thresholds) - int(np.searchsorted(thresholds, attach, side="right"))
+        del calls[:], bounds[:]
+        assert binary_search_threshold(ctx) == linear_scan_index(ctx)
+        if span in (2, 3):
+            assert bounds == [] and len(calls) <= 2
+            short += 1
+        elif span >= 4:
+            assert len(bounds) == 1
+            wide += 1
+    assert short >= 10 and wide >= 10
+
+
 def test_timings_present():
     r = solve([(1, 0)], [(0, 0)])
     assert set(r.timings) == {"preprocess_ns", "search_ns", "assemble_ns"}

@@ -307,25 +307,6 @@ def test_equivalence_at_500():
     assert same_edges(yao_bruteforce(P, S), yao_bipartite(P, S))
 
 
-def test_small_knn_rounds_run_single_threaded(monkeypatch):
-    """Only rounds of at least _PARALLEL_MIN fetches use every core; the graph is the same."""
-    seen = []
-
-    class RecordingTree(yao.cKDTree):
-        def query(self, x, k, workers):
-            seen.append((len(x) * k, workers))
-            return super().query(x, k=k, workers=workers)
-
-    monkeypatch.setattr(yao, "cKDTree", RecordingTree)
-    P, S = gen_random_instance(300, 400, 100.0, seed=5)
-    want = yao_bruteforce(P, S)
-    for parallel_min, workers in ((yao._PARALLEL_MIN, 1), (0, -1)):
-        monkeypatch.setattr(yao, "_PARALLEL_MIN", parallel_min)
-        seen.clear()
-        assert same_edges(want, yao_bipartite(P, S))
-        assert seen and all(w == workers for _, w in seen)
-
-
 def _ring(rng, k, r0, r1):
     r = np.sqrt(rng.uniform(r0 * r0, r1 * r1, k))
     t = rng.uniform(0.0, 2.0 * np.pi, k)
