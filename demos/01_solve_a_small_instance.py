@@ -20,7 +20,7 @@ print("optimal bottleneck length:", math.sqrt(report.lambda_star))
 print("skeleton edges (candidate index pairs):", report.tree.skeleton_edges.tolist())
 print("external edges (terminal -> candidate):",
       list(enumerate(report.tree.external_edges.tolist())))
-print("binary search stopped at threshold index:", report.threshold_index)
+print("index of the first tree edge length above the optimum:", report.threshold_index)
 print("candidate components at the final threshold:", report.candidate_count)
 
 # The independent brute-force oracle probes every realized distance and

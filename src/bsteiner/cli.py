@@ -11,6 +11,7 @@ representation never leaks out.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -43,7 +44,10 @@ def _cmd_decide(args) -> int:
     if not args.lam > 0:  # rejects NaN too, before the costly preprocessing
         raise ValueError("threshold must be positive")
     ctx = preprocess(*_read_instance(args))
-    J = compare_to_optimal(ctx, args.lam * args.lam)
+    # below about 1.5e-162 lambda squares to 0.0; every squared distance in
+    # the coordinate domain is at least 2**-904, so the smallest positive
+    # float gives the same verdict
+    J = compare_to_optimal(ctx, max(args.lam * args.lam, math.ulp(0.0)))
     print(f"J = {sorted(J)}")
     print("lambda* < lambda" if J else "lambda* >= lambda")
     return 0

@@ -23,7 +23,8 @@ from .solver import FullSteinerTree, SolveReport
 
 
 def _canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    # a non-finite number would make the document invalid JSON
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _coords_from_json(doc, key: str) -> np.ndarray:

@@ -106,9 +106,11 @@ def gen_membership_instance(f, m: int, perturb=None) -> MembershipInstance:
         if not 1 <= j <= n:
             raise ValueError("perturb index out of range")
         x, y = float(new[0]), float(new[1])
-        if y == 1.0 and x == int(x) and 1 <= x <= m:
+        if not (np.isfinite(x) and np.isfinite(y)):
+            raise ValueError("perturbed point must be finite")
+        if y == 1.0 and x.is_integer() and 1 <= x <= m:
             raise ValueError("perturbed point must leave the grid")
-        if y == 0.0 and ((x == int(x) and 1 <= x <= m)):
+        if y == 0.0 and x.is_integer() and 1 <= x <= m:
             raise ValueError("perturbed point collides with a candidate")
         P[j + 1] = (x, y)
         perturbed = j
@@ -134,8 +136,8 @@ def gen_random_instance(n: int, m: int, extent: float, seed) -> tuple[np.ndarray
     """Uniform points in [0, extent]^2; terminals resample away from candidates."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be at least 1")
-    if not extent > 0:
-        raise ValueError("extent must be positive")
+    if not 0 < extent < np.inf:
+        raise ValueError("extent must be positive and finite")
     rng = np.random.default_rng(seed)
     S = as_points(rng.uniform(0.0, extent, (m, 2)), "S")
     P = as_points(rng.uniform(0.0, extent, (n, 2)), "P")

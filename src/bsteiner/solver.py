@@ -1,17 +1,14 @@
 """End-to-end solver for bottleneck-optimal full Steiner trees.
 
 Pipeline: spanning tree of the candidate set plus the six-cone terminal
-graph, a binary search over the distinct tree edge weights driven by the
-threshold decision procedure, then assembly of the at most six candidate
-trees and selection of the one with the smallest bottleneck.  The search
-starts above the attach lower bound max_p min_cone w(p, s), the largest
-row minimum of the Yao graph's (n, 6) table, below which no threshold can
-succeed.  It ends at the first threshold above a minimax upper bound: the
-largest over terminals of the cheapest cell whose cost is the larger of
-its edge and the largest tree edge between its candidate and the binding
-terminal's nearest candidate (Hu 1961).  Above that bound the decision
-succeeds; the threshold just below it is probed first and usually ends
-the search.  All weights are squared lengths end to end.
+graph, the threshold index in closed form, then assembly of the at most
+six candidate trees and selection of the one with the smallest
+bottleneck.  The index is the first threshold above the least minimax
+bound over the binding terminal's cells.  A cell's bound is the largest
+over terminals of the cheapest cell whose cost is the larger of its
+edge and the largest tree edge between its candidate and the root
+cell's candidate (Hu 1961).  Finding it takes at most six tree walks and
+no decision call.  All weights are squared lengths end to end.
 """
 
 from __future__ import annotations
@@ -93,46 +90,44 @@ def threshold_value(emst, index: int) -> float:
 def binary_search_threshold(ctx: SolverContext) -> int:
     """Smallest index whose threshold makes the candidate set non-empty.
 
-    Searches the augmented sequence up to k+1; the infinite sentinel at
-    k+1 always succeeds, so the index exists.  The search starts above
-    every threshold at or below the attach bound: below such a threshold
-    the binding terminal has no cone edge strictly shorter, so the
-    candidate set is empty.  The bound max_p min_cone w(p, s) is positive,
-    so this also skips the zero threshold that duplicate candidates put
-    first.
+    Takes the index in closed form instead of probing decisions.  Let p
+    be the binding terminal, the argmax of row_min(best_w).  For a root r,
+    let U_r = max_q min_cone max(w(q, s), B_r[s]), with B_r the largest
+    tree edge on the path from r to s (`tree_bottlenecks`): r's component
+    succeeds at a threshold T exactly when U_r < T.  Every component that
+    succeeds holds one of p's cells, so the answer is the first index of
+    the augmented sequence above min_r U_r over p's non-empty cells.
 
-    When bisection would take three or more probes, the search also ends
-    below the minimax bound U = max_p min_cone max(w(p, s), B[s]), where B
-    is the largest tree edge on the path from the root r, the candidate
-    in the binding terminal's nearest cell (`tree_bottlenecks`).  Above U
-    every terminal has a shorter cell inside r's component, so the
-    decision there succeeds.  U is often exact, so the index just below
-    it is probed first, and only a success there leaves a bisection.
+    The cells are visited nearest first against `beat`, the threshold
+    just below the best index so far.  A cell not shorter than beat ends
+    the loop, since p enters any component that succeeds at beat through
+    a shorter cell.  A cell inside a walked root's component at beat
+    succeeds there exactly when that root does, and no walked root does,
+    so it is skipped.  At most six tree walks are made, each O(m log m).
+    When the attach bound max_p min_cone w(p, s) is at or above the
+    largest tree edge, none is made and the index is k + 1.
     """
-    yao = ctx.yao
+    yao, emst = ctx.yao, ctx.emst
+    thresholds = emst.thresholds
     # every row holds a finite cell: a terminal's nearest candidate lies in some cone
-    nearest = row_min(yao.best_w)
-    thresholds = ctx.emst.thresholds
-    k = len(thresholds)
-    lo = int(np.searchsorted(thresholds, nearest.max(), side="right")) + 1
-    hi = k + 1
-    mid = (lo + hi) // 2
-    # two probes settle a range of up to three, and cost less than the bound at scale
-    if hi - lo >= 4:
-        p = int(np.argmax(nearest))
-        root = int(yao.best_s[p, np.argmin(yao.best_w[p])])
+    p = int(np.argmax(row_min(yao.best_w)))
+    order = np.argsort(yao.best_w[p], kind="stable")
+    cell_w, cell_s = yao.best_w[p, order], yao.best_s[p, order]
+    best = len(thresholds) + 1
+    near = np.full(len(order), np.inf)  # least path maximum from a walked root to each cell
+    for i, (w, s) in enumerate(zip(cell_w.tolist(), cell_s.tolist())):
+        beat = threshold_value(emst, best - 1)
+        # an empty cell's inf length ends the loop before its index is read
+        if w >= beat:
+            break
+        if near[i] < beat:
+            continue
+        b = tree_bottlenecks(emst, s)
         # an empty cell's inf length hides its clipped index, as in `cell_labels`
-        reach = np.maximum(yao.best_w, tree_bottlenecks(ctx.emst, root).take(yao.best_s, mode="clip"))
-        hi = min(hi, int(np.searchsorted(thresholds, row_min(reach).max(), side="right")) + 1)
-        mid = hi - 1
-    while lo < hi:
-        labeling = forest_components(ctx.emst, threshold_value(ctx.emst, mid))
-        if candidate_components(ctx, labeling):
-            hi = mid
-        else:
-            lo = mid + 1
-        mid = (lo + hi) // 2
-    return lo
+        u = row_min(np.maximum(yao.best_w, b.take(yao.best_s, mode="clip"))).max()
+        best = min(best, int(np.searchsorted(thresholds, u, side="right")) + 1)
+        np.minimum(near, b.take(cell_s, mode="clip"), out=near)
+    return best
 
 
 def build_tree_for_component(
@@ -179,10 +174,10 @@ def bottleneck(tree: FullSteinerTree) -> float:
 def solve(P, S) -> SolveReport:
     """Compute an optimal bottleneck full Steiner tree.
 
-    Returns the tree together with the squared optimum, the index found by
-    the binary search, the chosen component, and per-phase wall times in
-    nanoseconds.  Runs are deterministic for identical inputs (timings
-    aside).
+    Returns the tree together with the squared optimum, the threshold
+    index (found in closed form by at most six tree walks), the chosen
+    component, and per-phase wall times in nanoseconds.  Runs are
+    deterministic for identical inputs (timings aside).
     """
     t0 = time.perf_counter_ns()
     ctx = preprocess(P, S)

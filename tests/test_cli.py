@@ -66,6 +66,13 @@ def test_decide_rejects_bad_threshold_before_preprocessing(instance_file, monkey
     assert calls == []
 
 
+def test_decide_threshold_squaring_to_zero(instance_file, capsys):
+    # 1e-170 squares to 0.0, yet every squared distance is far above it
+    assert main(["decide", "--input", str(instance_file), "--lambda", "1e-170"]) == 0
+    out = capsys.readouterr().out
+    assert "J = []" in out and "lambda* >= lambda" in out
+
+
 def test_oracle_agrees_with_solve(instance_file, capsys):
     assert main(["oracle", "--input", str(instance_file)]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -161,6 +168,27 @@ def test_gen_membership_perturb(tmp_path, capsys):
     ]) == 0
     doc = json.loads(out.read_text())
     assert [1.5, 1.0] in doc["P"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "random", "--n", "4", "--m", "6", "--extent", "inf"],
+     "extent must be positive and finite"),
+    (["gen", "membership", "--f", "1,3", "--m", "3", "--perturb", "1:inf,1"],
+     "perturbed point must be finite"),
+    (["gen", "membership", "--f", "1,3", "--m", "3", "--perturb", "1:nan,1"],
+     "perturbed point must be finite"),
+], ids=["extent-inf", "perturb-inf", "perturb-nan"])
+def test_gen_rejects_non_finite_arguments(argv, message, capsys):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_gen_never_writes_non_finite_json(tmp_path, capsys):
+    # the gap between -1e308 and 1e308 overflows to inf
+    out = tmp_path / "mg.json"
+    assert main(["gen", "maxgap", "--values=-1e308,1e308", "--out", str(out)]) == 2
+    assert "JSON" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_csv_output(capsys):

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from bsteiner import solver
-from bsteiner.decision import SolverContext, compare_to_optimal, forest_components
+from bsteiner.decision import (
+    SolverContext,
+    compare_to_optimal,
+    forest_components,
+    tree_bottlenecks,
+)
 from bsteiner.emst import euclidean_mst
 from bsteiner.generators import (
     gen_maxgap_instance,
@@ -366,35 +371,46 @@ def test_minimax_bound_costs_at_most_one_probe(monkeypatch):
         assert len(calls) <= 1 and plain >= 10
 
 
-def test_short_ranges_skip_the_minimax_bound(monkeypatch):
-    # a range of two or three indices takes at most two probes: the bound
-    # could save one of them, and its walk of the tree costs more at scale
+def minimax_index(ctx, root):
+    """First index above U_r, the minimax bound from one root (Hu 1961)."""
+    yao = ctx.yao
+    b = tree_bottlenecks(ctx.emst, root)
+    u = np.maximum(yao.best_w, b.take(yao.best_s, mode="clip")).min(axis=1).max()
+    return int(np.searchsorted(ctx.emst.thresholds, u, side="right")) + 1
+
+
+def test_search_walks_only_the_binding_terminals_cells(monkeypatch):
+    # the index is the first above the least minimax bound over the
+    # binding terminal's cells, found without a decision call
     calls = count_decision_calls(monkeypatch)
-    bounds = []
+    roots = []
     real = solver.tree_bottlenecks
 
     def spy(emst, root):
-        bounds.append(root)
+        roots.append(root)
         return real(emst, root)
 
     monkeypatch.setattr(solver, "tree_bottlenecks", spy)
     rng = np.random.default_rng(1962)
-    short = wide = 0
+    attached = lowered = 0
     for trial in range(240):
         P, S = search_instance(rng, trial % 4)
         ctx = preprocess(P, S)
-        thresholds = ctx.emst.thresholds
-        attach = squared_distance_matrix(ctx.P, ctx.S).min(axis=1).max()
-        span = len(thresholds) - int(np.searchsorted(thresholds, attach, side="right"))
-        del calls[:], bounds[:]
-        assert binary_search_threshold(ctx) == linear_scan_index(ctx)
-        if span in (2, 3):
-            assert bounds == [] and len(calls) <= 2
-            short += 1
-        elif span >= 4:
-            assert len(bounds) == 1
-            wide += 1
-    assert short >= 10 and wide >= 10
+        yao, thresholds = ctx.yao, ctx.emst.thresholds
+        p = int(np.argmax(yao.best_w.min(axis=1)))
+        cells = yao.best_s[p][np.isfinite(yao.best_w[p])]
+        del calls[:], roots[:]
+        ell = binary_search_threshold(ctx)
+        assert ell == linear_scan_index(ctx)
+        assert calls == []
+        assert len(roots) == len(set(roots)) <= len(cells)
+        assert set(roots) <= set(cells.tolist())
+        if len(thresholds) == 0 or yao.best_w[p].min() >= thresholds[-1]:
+            assert roots == [] and ell == len(thresholds) + 1
+            attached += 1
+        nearest = int(yao.best_s[p, np.argmin(yao.best_w[p])])
+        lowered += ell < minimax_index(ctx, nearest)
+    assert attached >= 10 and lowered >= 10
 
 
 def test_timings_present():
