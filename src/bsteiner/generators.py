@@ -13,6 +13,7 @@ Two constructions have provable optima and double as hard test cases:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,8 @@ def gen_maxgap_instance(values, n: int, seed: int = 0) -> MaxGapInstance:
 
     Half the terminals sit strictly left of the smallest value, half
     strictly right of the largest, at seeded offsets in (0, g/2] where
-    g = (max - min) / (m + 1).
+    g = (max - min) / (m + 1).  Values whose gap or terminal coordinates
+    overflow float64 are rejected.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     if v.size < 2:
@@ -68,6 +70,13 @@ def gen_maxgap_instance(values, n: int, seed: int = 0) -> MaxGapInstance:
     if delta == 0.0:
         raise ValueError("degenerate sequence")
     g = delta / (v.size + 1)
+    # the terminals lie within g/2 beyond the extremes, so these bounds
+    # are finite exactly when every coordinate and the gap are
+    if not (math.isfinite(lo - g / 2) and math.isfinite(hi + g / 2)):
+        raise ValueError(
+            "values span a gap that overflows float64: the instance would"
+            " hold non-finite numbers, which JSON cannot carry"
+        )
     rng = np.random.default_rng(seed)
     half = n // 2
     left = lo - (g / 2) * (1.0 - rng.random(half))  # offsets in (0, g/2]

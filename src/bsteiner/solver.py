@@ -1,14 +1,16 @@
 """End-to-end solver for bottleneck-optimal full Steiner trees.
 
-Pipeline: spanning tree of the candidate set plus the six-cone terminal
-graph, the threshold index in closed form, then assembly of the at most
-six candidate trees and selection of the one with the smallest
-bottleneck.  The index is the first threshold above the least minimax
-bound over the binding terminal's cells.  A cell's bound is the largest
-over terminals of the cheapest cell whose cost is the larger of its
-edge and the largest tree edge between its candidate and the root
-cell's candidate (Hu 1961).  Finding it takes at most six tree walks and
-no decision call.  All weights are squared lengths end to end.
+Pipeline: spanning tree of the candidate set, then the six-cone terminal
+graph up to the tree's largest edge (cells beyond it, other than each
+terminal's nearest, may stay unsettled, since no decision reads them),
+the threshold index in closed form, then assembly of the at most six
+candidate trees and selection of the one with the smallest bottleneck.
+The index is the first threshold above the least minimax bound over the
+binding terminal's cells.  A cell's bound is the largest over terminals
+of the cheapest cell whose cost is the larger of its edge and the
+largest tree edge between its candidate and the root cell's candidate
+(Hu 1961).  Finding it takes at most six tree walks and no decision
+call.  All weights are squared lengths end to end.
 """
 
 from __future__ import annotations
@@ -72,9 +74,19 @@ def validate_instance(P, S) -> tuple[np.ndarray, np.ndarray]:
 
 
 def preprocess(P, S) -> SolverContext:
-    """Validate an instance and build the shared context for decision calls."""
+    """Validate an instance and build the shared context for decision calls.
+
+    The spanning tree comes first, and its largest edge M is the cone
+    table's `limit` (inf when the tree has no edge).  A decision at a
+    threshold up to M reads only cells shorter than it.  Above M the tree
+    is one component, and the decision and the assembly read only each
+    row's minimum.  So every read is exact, although cells at or beyond M
+    may read as empty.
+    """
     P, S = validate_instance(P, S)
-    return SolverContext(P, S, euclidean_mst(S), yao_bipartite(P, S))
+    emst = euclidean_mst(S)
+    limit = emst.thresholds[-1] if len(emst.thresholds) else np.inf
+    return SolverContext(P, S, emst, yao_bipartite(P, S, limit))
 
 
 def threshold_value(emst, index: int) -> float:

@@ -10,14 +10,20 @@ Two constructions fill the same table: `yao_bruteforce` scans all
 candidate points per terminal, `yao_bipartite` accelerates the search with
 one k-d tree over the candidates in three steps.  One kNN round, with the
 terminals in Z-order and its neighbor lists reduced in fixed-size row
-blocks, settles most cells.  When many cells stay open, a proof from one
-sort of the candidates per cone settles the open cones that hold no
-candidate.  One batched exact search of the same tree settles the rest:
-it walks the tree's leaf boxes level by level for all open cells at once,
-pruning by distance and by the cone's two half-planes, which it reads
-from the proof's table `_CONES`, and classifies the leaf points in NumPy.
+blocks, settles most cells.  A caller that reads no cell at or above a
+squared length `limit`, other than each row's minimum, passes that limit,
+and the open cells no such read can reach stay unsettled: the solver
+passes the largest edge of the candidates' spanning tree.  When many
+cells stay open, a proof from one sort of the candidates per cone
+settles the open cones that hold no candidate.  One batched exact search
+of the same tree settles the rest: it walks the tree's leaf boxes level
+by level for all open cells at once, pruning by distance and by the
+cone's two half-planes, which it reads from the proof's table `_CONES`,
+and classifies the leaf points in NumPy.
 Both constructions classify cones and measure distances through the
-shared routines in `geometry`, so their tables are identical bit for bit.
+shared routines in `geometry`, so their tables are identical bit for bit,
+and with a limit, identical in every cell below it and in each row's
+minimum.
 
 The search is what degenerate sets exercise.  On a 2-core machine
 `yao_bipartite(S, S)` takes about 0.46 s on 2**12 points of a circle, and
@@ -54,8 +60,9 @@ from .geometry import (
 )
 
 # The kNN round fetches k = _KNN_START neighbors per terminal; cones it
-# leaves open go to the emptiness proof, when there are at least
-# m / _LEAF_SIZE of them, and then to the exact cone search.
+# leaves open and the limit lets through go to the emptiness proof, when
+# there are at least m / _LEAF_SIZE of them, and then to the exact cone
+# search.
 _KNN_START = 32
 # Leaf size of the k-d tree over S, chosen by measurement on a 2-core
 # machine.  Against scipy's default of 16, 64 leaves the kNN round at 2**19
@@ -80,11 +87,19 @@ class YaoGraph:
     inf and `candidate_count`.  The flat views `p_idx`, `s_idx`, `cone`
     and `w` list the non-empty cells in row-major order, that is sorted
     by (terminal, cone).
+
+    `limit` is the squared length up to which the table is exact.  Every
+    cell shorter than it, and every row's minimum, equals the cell of the
+    complete graph, ties included.  A cell at or above it may read as
+    empty, (inf, `candidate_count`), although its cone holds a
+    candidate; its true length is then at least `limit` and larger than
+    its row's minimum.  inf marks a complete table.
     """
 
     candidate_count: int
     best_w: np.ndarray
     best_s: np.ndarray
+    limit: float = np.inf
 
     @property
     def terminal_count(self) -> int:
@@ -438,20 +453,25 @@ def _cone_search(kdtree, P, S, cells, radius, best_w, best_s) -> None:
         r2[todo] = np.minimum(np.maximum(4.0 * r2[todo], beyond), cover[todo])
 
 
-def yao_bipartite(P, S) -> YaoGraph:
-    """Accelerated construction, identical output to `yao_bruteforce`.
+def yao_bipartite(P, S, limit: float = np.inf) -> YaoGraph:
+    """Accelerated construction, identical output to `yao_bruteforce` below `limit`.
 
     One batched k-nearest-neighbor round (k = `_KNN_START`) answers most
     (terminal, cone) cells: a cone is settled once its best in-cone
     candidate lies strictly inside the k-th-neighbor ball (or when k is
-    the full candidate count).  When at least m / `_LEAF_SIZE` cells stay
+    the full candidate count).  An open cell's length is at least r², r
+    its terminal's k-th-neighbor radius.  It is left unsettled, and reads
+    as empty, when r² is at or above `limit` and above the smallest cell
+    its row settled: then no read below `limit` and no row minimum can
+    see it (`YaoGraph.limit`).  When at least m / `_LEAF_SIZE` cells stay
     open, the open cones that provably hold no candidate are then settled
     all at once (`_empty_cones`); fewer open cells cost the search less
     than the proof's six sorts of S.  Every cell still open, typically of
     terminals near the hull with sparse cones, goes to one batched exact
     search of the same k-d tree (`_cone_search`): a level-by-level walk of
     the leaf boxes that prunes by distance and by the two half-planes of
-    the cone, and classifies the leaf points in NumPy.
+    the cone, and classifies the leaf points in NumPy.  Without a limit
+    every open cell is settled and the table is complete.
 
     The round visits the terminals in Morton order (`_z_order`), so
     consecutive queries walk nearby parts of the tree.  It keeps only the
@@ -468,10 +488,11 @@ def yao_bipartite(P, S) -> YaoGraph:
     P = as_points(P, "P")
     S = as_points(S, "S")
     n, m = len(P), len(S)
+    limit = float(limit)
     best_w = np.full((n, NUM_CONES), np.inf)
     best_s = np.full((n, NUM_CONES), m, dtype=np.int64)
     if not (n and m):
-        return YaoGraph(m, best_w, best_s)
+        return YaoGraph(m, best_w, best_s, limit)
     done = np.empty((n, NUM_CONES), dtype=bool)
     radius = np.empty(n)
 
@@ -505,6 +526,19 @@ def yao_bipartite(P, S) -> YaoGraph:
     del idx
 
     cells = np.argwhere(~done)
+    p = cells[:, 0]
+    # An open cell's candidates were either not fetched, so lie at or
+    # beyond the radius r, or fetched no nearer than r.  cKDTree's r and
+    # the table's w each carry a few ulps of rounding, so r² (1 - 2**-40)
+    # is a floor on the cell's w with a margin of thousands of ulps.  A
+    # cell whose floor is at or above the limit and above its row's
+    # settled minimum can neither be read below the limit nor be, or tie
+    # with, its row's minimum: it stays unsettled.
+    floor = radius[p] ** 2 * (1.0 - 2.0**-40)
+    skip = (floor >= limit) & (floor > row_min(np.where(done[p], best_w[p], np.inf)))
+    unread = tuple(cells[skip].T)
+    best_w[unread], best_s[unread], done[unread] = np.inf, m, True
+    cells = cells[~skip]
     if len(cells) * _LEAF_SIZE >= m:
         # many open cones, which are often empty: the proof settles them
         # for six sorts of S, where the search would walk a leaf each
@@ -514,4 +548,4 @@ def yao_bipartite(P, S) -> YaoGraph:
     if len(cells):
         _cone_search(kdtree, P, S, cells, radius, best_w, best_s)
 
-    return YaoGraph(m, best_w, best_s)
+    return YaoGraph(m, best_w, best_s, limit)

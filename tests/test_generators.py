@@ -69,6 +69,25 @@ def test_maxgap_errors():
         gen_maxgap_instance([5], 2)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [[-1e308, 1e308], [0.0, 1.7e308], [-1.7e308, 0.0], [-1.7e308, 1.0, 2.0]],
+    ids=["gap", "right-terminals", "left-terminals", "three-values"],
+)
+def test_maxgap_rejects_overflow(values):
+    # the gap or the terminals' offsets beyond the extremes overflow float64
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="overflows"):
+        gen_maxgap_instance(values, 4)
+
+
+def test_maxgap_near_float64_range():
+    # the widest gaps that still fit give finite instances, without a warning
+    with np.errstate(all="raise"):
+        inst = gen_maxgap_instance([-8e307, 8e307], 4, seed=5)
+    assert np.isfinite([inst.delta, inst.g, inst.expected]).all()
+    assert np.isfinite(inst.P).all() and inst.expected == 1.6e308
+
+
 def test_maxgap_deterministic():
     a = gen_maxgap_instance([0, 2, 9], 6, seed=77)
     b = gen_maxgap_instance([0, 2, 9], 6, seed=77)

@@ -470,3 +470,75 @@ def test_validate_rejects_broken_trees():
         with pytest.raises(ValueError):
             validate_full_steiner_tree(dataclasses.replace(good, **fields))
             pytest.fail(case)
+
+
+def truncation_instance(rng, family):
+    """An instance of one of five families (0-4) with m >= 64 > k = 32, so
+    that the kNN round leaves cells open for the Yao limit to cut."""
+    n = int(rng.integers(8, 48))
+    m = int(rng.integers(64, 128))
+
+    def disc(k, r0, r1):
+        r = np.sqrt(rng.uniform(r0 * r0, r1 * r1, k))
+        t = rng.uniform(0.0, 2.0 * np.pi, k)
+        return np.column_stack((r * np.cos(t), r * np.sin(t)))
+
+    if family == 0:
+        # terminals ring a candidate disc
+        return disc(n, 1.05, 1.5), disc(m, 0.0, 1.0)
+    if family == 1:
+        # a terminal far out, in a cone that holds only a few far candidates
+        S = np.concatenate((rng.uniform(0.0, 10.0, (m - 3, 2)), 5.0 + disc(3, 20.0, 60.0)))
+        P = np.concatenate((rng.uniform(0.0, 10.0, (n - 1, 2)), 5.0 + disc(1, 30.0, 90.0)))
+        return P, S
+    if family == 2:
+        # two integer lattice blocks an integer gap apart, so M is the
+        # squared gap, and terminals at integer and half-integer points:
+        # lengths tie with each other and some k-th radii with M
+        a, b = rng.integers(6, 9, 2)
+        block = np.argwhere(np.ones((a, b))).astype(float)
+        S = np.concatenate((block, block + (a - 1 + rng.integers(2, 7), rng.integers(-2, 3))))
+        half = np.array([(0.5, 0.5), (0.5, 0.0), (0.0, 0.5), (0.0, 0.0)])[rng.integers(0, 4, n)]
+        P = rng.integers(S.min(axis=0) - 3, S.max(axis=0) + 4, (n, 2)) + half
+        return P[~(P[:, None] == S).all(axis=2).any(axis=1)], S
+    if family == 3:
+        # heavy duplicates: a few distinct candidates, each many times
+        base = rng.uniform(0.0, 10.0, (int(rng.integers(3, 16)), 2))
+        return rng.uniform(0.0, 10.0, (n, 2)), base[rng.integers(0, len(base), m)]
+    # all candidates coincide, so M = 0
+    return rng.uniform(1.0, 10.0, (n, 2)), np.full((m, 2), 0.5)
+
+
+def test_truncated_table_answers_like_the_complete_one():
+    # cells at or beyond the largest tree edge M may stay unsettled; no
+    # decision, search or assembly can tell
+    rng = np.random.default_rng(1804)
+    unsettled = 0
+    for trial in range(60):
+        family = trial % 5
+        P, S = truncation_instance(rng, family)
+        ctx = preprocess(P, S)
+        ref = SolverContext(ctx.P, ctx.S, ctx.emst, yao_bruteforce(ctx.P, ctx.S))
+        yao, full, thresholds = ctx.yao, ref.yao, ctx.emst.thresholds
+        assert yao.limit == thresholds[-1] and full.limit == np.inf
+        same = (yao.best_w == full.best_w) & (yao.best_s == full.best_s)
+        empty = (yao.best_w == np.inf) & (yao.best_s == len(S))
+        exact = (full.best_w < yao.limit) | (full.best_w == full.best_w.min(axis=1)[:, None])
+        assert same[exact].all() and (same | empty).all()
+        unsettled += int(np.count_nonzero(~same))
+
+        positive = thresholds[thresholds > 0]
+        for t in [*positive, *np.nextafter(positive, np.inf), np.nextafter(0.0, 1.0), np.inf]:
+            assert compare_to_optimal(ctx, t) == compare_to_optimal(ref, t)
+        ell = binary_search_threshold(ctx)
+        assert ell == binary_search_threshold(ref)
+        lam = threshold_value(ctx.emst, ell)
+        lab = forest_components(ctx.emst, lam)
+        for j in compare_to_optimal(ctx, lam):
+            a = build_tree_for_component(ctx, lab, j, lam)
+            b = build_tree_for_component(ref, lab, j, lam)
+            assert np.array_equal(a.external_edges, b.external_edges)
+            assert a.bottleneck == b.bottleneck
+        if family == 1:
+            assert solve(P, S).lambda_star == brute_force_optimum(P, S)[0]
+    assert unsettled > 0

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bsteiner.generators import gen_maxgap_instance, gen_random_instance
 from bsteiner.geometry import cone_indices, cone_indices_from_deltas, squared_distance_matrix
-from bsteiner.solver import validate_instance
+from bsteiner.solver import solve, validate_instance
 from bsteiner import yao
 from bsteiner.yao import row_any, row_min, same_edges, yao_bipartite, yao_bruteforce
 
@@ -354,6 +354,20 @@ def test_skipped_proof_matches_bruteforce(monkeypatch):
     assert not proofs
     assert len(searches) == 1 and 0 < searches[0] * yao._LEAF_SIZE < len(S)
     assert (g.best_s == len(S)).sum() > 0  # some searched cones are empty
+
+
+def test_solve_settles_no_open_cell_on_a_hull(monkeypatch):
+    # every open cell of terminals ringing a candidate disc lies beyond the
+    # largest tree edge and above its row's nearest cell: solve leaves them
+    # all unsettled, while the complete table still needs the search
+    proofs = spy_empty_cones(monkeypatch)
+    searches = count_cone_queries(monkeypatch)
+    rng = np.random.default_rng(2048)
+    S, P = _ring(rng, 2**11, 0.0, 1000.0), _ring(rng, 2**11, 1010.0, 1200.0)
+    solve(P, S)
+    assert proofs == [] and searches == []
+    assert same_edges(yao_bruteforce(P, S), yao_bipartite(P, S))
+    assert len(searches) == 1 and searches[0] > 0
 
 
 def _block_families():
