@@ -51,7 +51,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial import Delaunay, QhullError
 
-from .geometry import as_points, pair_squared_distances, points_as_complex
+from .geometry import as_points, points_as_complex, squared_distances
 from .yao import yao_bipartite
 
 
@@ -257,15 +257,13 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 def _sides(sim: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Corners (3, t, 2) of the triangles `sim` of pts and squared side lengths (3, t).
 
-    Side k joins corners k and k - 1 and is weighed as `_kruskal` weighs
-    it, with `pair_squared_distances` of its ends.  pts may hold 0.0
-    where the input holds -0.0, which changes no squared difference.
+    Side k joins corners k and k - 1 and is weighed as `euclidean_mst`
+    weighs it, with `squared_distances` of its ends, one call for all
+    three sides.  pts may hold 0.0 where the input holds -0.0, which
+    changes no squared difference.
     """
-    corner = np.take(pts, sim.T, axis=0)
-    w = np.empty((3, len(sim)))
-    for k in range(3):
-        w[k] = pair_squared_distances(corner[k], corner[k - 1])
-    return corner, w
+    ring = np.take(pts, sim.T[[2, 0, 1, 2]], axis=0)  # corners 2, 0, 1, 2: ring[k + 1] is corner k
+    return ring[1:], squared_distances(ring[1:], ring[:-1])
 
 
 def _triangle_keys(sim: np.ndarray, w: np.ndarray, label: np.ndarray, m: int) -> np.ndarray:
@@ -401,7 +399,7 @@ def euclidean_mst(S) -> EmstResult:
     if m == 0:
         raise ValueError("S must be non-empty")
     u, v = _candidate_edges(S)
-    return _kruskal(m, u, v, pair_squared_distances(S[u], S[v]))
+    return _kruskal(m, u, v, squared_distances(S[u], S[v]))
 
 
 def mst_prim_reference(S) -> EmstResult:
@@ -412,7 +410,7 @@ def mst_prim_reference(S) -> EmstResult:
         raise ValueError("S must be non-empty")
     in_tree = np.zeros(m, dtype=bool)
     in_tree[0] = True
-    best_w = pair_squared_distances(S, np.broadcast_to(S[0], (m, 2)))
+    best_w = squared_distances(S, S[0])
     best_from = np.zeros(m, dtype=np.int64)
     eu = np.empty(m - 1, dtype=np.int64)
     ev = np.empty(m - 1, dtype=np.int64)
@@ -424,7 +422,7 @@ def mst_prim_reference(S) -> EmstResult:
         eu[t], ev[t], ew[t] = best_from[j], j, best_w[j]
         in_tree[j] = True
         masked[j] = np.inf
-        d = pair_squared_distances(S, np.broadcast_to(S[j], (m, 2)))
+        d = squared_distances(S, S[j])
         upd = (d < best_w) & ~in_tree
         best_w[upd] = d[upd]
         best_from[upd] = j

@@ -18,8 +18,7 @@ import math
 
 import numpy as np
 
-from .geometry import pair_squared_distances
-from .solver import FullSteinerTree, SolveReport
+from .solver import FullSteinerTree, SolveReport, edge_weights
 
 
 def _canonical_json(doc: dict) -> str:
@@ -176,8 +175,7 @@ def render_svg(tree: FullSteinerTree) -> str:
     stroke = 0.005 * scale
 
     skel, ext = tree.skeleton_edges, tree.external_edges
-    skel_w = pair_squared_distances(S[skel[:, 0]], S[skel[:, 1]])
-    ext_w = pair_squared_distances(P, S[ext])
+    skel_w, ext_w = edge_weights(tree)
     edges = []  # (x1, y1, x2, y2, kind, weight)
     for (u, v), w in zip(skel.tolist(), skel_w.tolist()):
         edges.append((S[u, 0], -S[u, 1], S[v, 0], -S[v, 1], "skeleton", w))

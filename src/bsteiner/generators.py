@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import as_points, max_gap, points_as_complex
-from .solver import FullSteinerTree
+from .solver import FullSteinerTree, validate_instance
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,8 @@ def gen_maxgap_instance(values, n: int, seed: int = 0) -> MaxGapInstance:
     Half the terminals sit strictly left of the smallest value, half
     strictly right of the largest, at seeded offsets in (0, g/2] where
     g = (max - min) / (m + 1).  Values whose gap or terminal coordinates
-    overflow float64 are rejected.
+    overflow float64 are rejected, and so is any instance that
+    `solver.validate_instance` would reject.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     if v.size < 2:
@@ -86,6 +87,7 @@ def gen_maxgap_instance(values, n: int, seed: int = 0) -> MaxGapInstance:
     P[half:, 0] = right
     S = np.zeros((v.size, 2))
     S[:, 0] = v
+    validate_instance(P, S)
     return MaxGapInstance(v, n, delta, g, P, S, max_gap(v))
 
 
@@ -94,7 +96,8 @@ def gen_membership_instance(f, m: int, perturb=None) -> MembershipInstance:
 
     `perturb`, if given, is a pair (j, (x, y)) replacing the j-th grid
     terminal (1-based) with an off-grid point; the replacement must avoid
-    every grid point (i, 1) and every candidate.
+    every grid point (i, 1) and every candidate.  Any instance that
+    `solver.validate_instance` would reject is rejected here.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -123,6 +126,7 @@ def gen_membership_instance(f, m: int, perturb=None) -> MembershipInstance:
             raise ValueError("perturbed point collides with a candidate")
         P[j + 1] = (x, y)
         perturbed = j
+    validate_instance(P, S)
     return MembershipInstance(m, f, P, S, perturbed)
 
 

@@ -1,8 +1,11 @@
 """Planar primitives shared by the whole package.
 
-Every length comparison in the solver, the oracle, and the tests goes
-through the squared-distance helpers below, so all components compare
-bit-identical float64 values and never disagree on ties.
+Every squared length in the package is `squared_norms(dx, dy)`, either
+called on deltas a caller already holds or through the broadcasting
+`squared_distances(A, B)`, and every cone class is
+`cone_indices_from_deltas(dx, dy)`.  The solver, the oracle, and the
+tests therefore compare bit-identical float64 values and never disagree
+on ties or cone boundaries.
 """
 
 from __future__ import annotations
@@ -54,32 +57,21 @@ def check_disjoint(P: np.ndarray, S: np.ndarray) -> None:
             raise ValueError("P and S must be disjoint")
 
 
-def squared_distance(a, b) -> float:
-    """Squared Euclidean distance between two points."""
-    dx = float(a[0]) - float(b[0])
-    dy = float(a[1]) - float(b[1])
+def squared_norms(dx, dy):
+    """Squared length dx * dx + dy * dy of each delta: the package's one length formula."""
     return dx * dx + dy * dy
 
 
-def squared_distances(points: np.ndarray, q) -> np.ndarray:
-    """Squared distances from every row of `points` to the single point `q`."""
-    dx = points[:, 0] - q[0]
-    dy = points[:, 1] - q[1]
-    return dx * dx + dy * dy
+def squared_distances(A, B):
+    """Squared distances between points A and B, coordinates on the last axis.
 
-
-def pair_squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-wise squared distances between two equally shaped point arrays."""
-    dx = A[:, 0] - B[:, 0]
-    dy = A[:, 1] - B[:, 1]
-    return dx * dx + dy * dy
-
-
-def squared_distance_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """All-pairs squared distances, shape (len(A), len(B))."""
-    dx = A[:, 0, None] - B[None, :, 0]
-    dy = A[:, 1, None] - B[None, :, 1]
-    return dx * dx + dy * dy
+    The leading axes broadcast: two (k, 2) arrays give k row-wise
+    distances, a (k, 2) array and one point give k, `A[:, None]` against
+    B gives the (len(A), len(B)) table, and two points give a scalar.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    return squared_norms(A[..., 0] - B[..., 0], A[..., 1] - B[..., 1])
 
 
 def _ray_start(j: int) -> float:
@@ -148,19 +140,6 @@ def _cone_of_angle(t) -> np.ndarray:
     for bound in _T_BOUNDS:
         slot += bound <= t
     return _SLOT_CONE[slot]
-
-
-def cone_indices(apex, targets: np.ndarray) -> np.ndarray:
-    """Cone index of each target as seen from `apex` (no coincident targets)."""
-    t = np.asarray(targets, dtype=np.float64)
-    return cone_indices_from_deltas(t[..., 0] - apex[0], t[..., 1] - apex[1])
-
-
-def cone_index(apex, target) -> int:
-    """Cone index of a single apex/target pair; errors on coincident points."""
-    if float(apex[0]) == float(target[0]) and float(apex[1]) == float(target[1]):
-        raise ValueError("degenerate direction")
-    return int(cone_indices(apex, np.asarray(target, dtype=np.float64)))
 
 
 def max_gap(values) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import squared_distance_matrix
+from .geometry import squared_distances
 from .solver import FullSteinerTree, validate_instance
 
 
@@ -57,8 +57,8 @@ class _Prepared:
 
     def __init__(self, P: np.ndarray, S: np.ndarray):
         self.n, self.m = len(P), len(S)
-        self.dps = squared_distance_matrix(P, S)
-        dss = squared_distance_matrix(S, S)
+        self.dps = squared_distances(P[:, None], S)
+        dss = squared_distances(S[:, None], S)
         iu, iv = np.triu_indices(self.m, 1)
         self.iu = iu.astype(np.int64)
         self.iv = iv.astype(np.int64)

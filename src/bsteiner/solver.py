@@ -29,7 +29,7 @@ from .decision import (
     tree_bottlenecks,
 )
 from .emst import euclidean_mst, sparse_graph
-from .geometry import as_points, check_disjoint, pair_squared_distances
+from .geometry import as_points, check_disjoint, squared_distances
 from .yao import row_min, yao_bipartite
 
 
@@ -175,11 +175,16 @@ def build_tree_for_component(
     return FullSteinerTree(ctx.P, ctx.S, comp, skeleton, ext, b)
 
 
+def edge_weights(tree: FullSteinerTree) -> tuple[np.ndarray, np.ndarray]:
+    """Squared lengths of the skeleton edges and of the external edges, from the coordinates."""
+    S, skel = tree.S, tree.skeleton_edges
+    skel_w = squared_distances(S[skel[:, 0]], S[skel[:, 1]])
+    return skel_w, squared_distances(tree.P, S[tree.external_edges])
+
+
 def bottleneck(tree: FullSteinerTree) -> float:
     """Largest squared edge length, recomputed from the coordinates."""
-    S, skel = tree.S, tree.skeleton_edges
-    skel_w = pair_squared_distances(S[skel[:, 0]], S[skel[:, 1]])
-    ext_w = pair_squared_distances(tree.P, S[tree.external_edges])
+    skel_w, ext_w = edge_weights(tree)
     return float(max(np.max(skel_w, initial=0.0), ext_w.max()))
 
 

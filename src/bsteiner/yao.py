@@ -20,10 +20,11 @@ of the same tree settles the rest: it walks the tree's leaf boxes level
 by level for all open cells at once, pruning by distance and by the
 cone's two half-planes, which it reads from the proof's table `_CONES`,
 and classifies the leaf points in NumPy.
-Both constructions classify cones and measure distances through the
-shared routines in `geometry`, so their tables are identical bit for bit,
-and with a limit, identical in every cell below it and in each row's
-minimum.
+Both constructions measure every length with `geometry.squared_norms`
+and classify every cone with `geometry.cone_indices_from_deltas`, both
+applied to the deltas they already hold, so their tables are identical
+bit for bit, and with a limit, identical in every cell below it and in
+each row's minimum.
 
 The search is what degenerate sets exercise.  On a 2-core machine
 `yao_bipartite(S, S)` takes about 0.46 s on 2**12 points of a circle, and
@@ -54,9 +55,8 @@ from .geometry import (
     NUM_CONES,
     as_points,
     check_disjoint,  # noqa: F401  (unused here; the benchmark tracer rebinds yao.check_disjoint)
-    cone_indices,
     cone_indices_from_deltas,
-    squared_distances,
+    squared_norms,
 )
 
 # The kNN round fetches k = _KNN_START neighbors per terminal; cones it
@@ -183,8 +183,9 @@ def yao_bruteforce(P, S) -> YaoGraph:
     best_w = np.full((n, NUM_CONES), np.inf)
     best_s = np.full((n, NUM_CONES), m, dtype=np.int64)
     for i in range(n):
-        d = squared_distances(S, P[i])
-        cones = np.where(d > 0, cone_indices(P[i], S), -1)
+        dx, dy = S[:, 0] - P[i, 0], S[:, 1] - P[i, 1]
+        d = squared_norms(dx, dy)
+        cones = np.where(d > 0, cone_indices_from_deltas(dx, dy), -1)
         for c in range(NUM_CONES):
             sel = np.flatnonzero(cones == c)
             if sel.size == 0:
@@ -375,11 +376,11 @@ def _walk(boxes: _Boxes, test: np.ndarray, cone: np.ndarray, r2: np.ndarray, see
         ax, ay, cos_a, sin_a, t_a, cos_b, sin_b, t_b = test[:, q]
         dx = np.maximum(np.maximum(x0 - ax, ax - x1), 0.0)
         dy = np.maximum(np.maximum(y0 - ay, ay - y1), 0.0)
-        d2 = dx * dx + dy * dy
+        d2 = squared_norms(dx, dy)
         gx = np.maximum(ax - x0, x1 - ax)
         gy = np.maximum(ay - y0, y1 - ay)
         inside = (
-            (gx * gx + gy * gy > seen[q])
+            (squared_norms(gx, gy) > seen[q])
             & (np.minimum(sin_a * x0, sin_a * x1) - np.maximum(cos_a * y0, cos_a * y1) <= t_a)
             & (np.minimum(cos_b * y0, cos_b * y1) - np.maximum(sin_b * x0, sin_b * x1) < t_b)
         )
@@ -400,7 +401,7 @@ def _walk(boxes: _Boxes, test: np.ndarray, cone: np.ndarray, r2: np.ndarray, see
         qq = np.repeat(q[part], boxes.size[node[part]])
         dx = boxes.x[pos] - test[0, qq]
         dy = boxes.y[pos] - test[1, qq]
-        w = dx * dx + dy * dy
+        w = squared_norms(dx, dy)
         hit = np.flatnonzero((w > 0) & (w <= r2[qq]))  # a point on the apex lies in no cone
         hit = hit[cone_indices_from_deltas(dx[hit], dy[hit]) == cone[qq[hit]]]
         acc_w, acc_s = _scatter_min(qq[hit], w[hit], boxes.order[pos[hit]], a, m)
@@ -431,7 +432,7 @@ def _cone_search(kdtree, P, S, cells, radius, best_w, best_s) -> None:
     x0, y0, x1, y1 = boxes.levels[0][:, 0]
     gx = np.maximum(apex[:, 0] - x0, x1 - apex[:, 0])
     gy = np.maximum(apex[:, 1] - y0, y1 - apex[:, 1])
-    cover = gx * gx + gy * gy  # no candidate lies farther
+    cover = squared_norms(gx, gy)  # no candidate lies farther
     test = np.vstack((apex.T, *_cone_tests(c, apex, _tolerance(apex, S))))
 
     chunk = max(1, _BLOCK >> 7)
@@ -512,7 +513,7 @@ def yao_bipartite(P, S, limit: float = np.inf) -> YaoGraph:
         nbr = idx[lo : lo + rows]
         dx = Sx[nbr] - apex[:, 0, None]
         dy = Sy[nbr] - apex[:, 1, None]
-        w = (dx * dx + dy * dy).reshape(-1)
+        w = squared_norms(dx, dy).reshape(-1)
         w[w == 0] = np.inf  # a point on the apex lies in no cone
         cone = cone_indices_from_deltas(dx, dy)
         keys = (np.arange(b, dtype=np.int64)[:, None] * NUM_CONES + cone).reshape(-1)

@@ -19,7 +19,7 @@ from bsteiner.generators import (
     gen_random_instance,
     verify_membership,
 )
-from bsteiner.geometry import squared_distance_matrix
+from bsteiner.geometry import squared_distances
 from bsteiner.oracle import _Prepared, brute_force_optimum
 from bsteiner.solver import preprocess, solve, validate_full_steiner_tree
 from bsteiner.yao import same_edges, yao_bipartite, yao_bruteforce
@@ -196,7 +196,7 @@ def test_criterion_9_bounds_property():
         m = int(rng.integers(1, 41))
         P, S = gen_random_instance(n, m, 100.0, seed=int(rng.integers(1 << 31)))
         r = solve(P, S)
-        attach = float(squared_distance_matrix(P, S).min(axis=1).max())
+        attach = float(squared_distances(P[:, None], S).min(axis=1).max())
         emst = euclidean_mst(S)
         longest = float(emst.edge_w[-1]) if len(emst.edge_w) else 0.0
         if not attach <= r.lambda_star <= max(longest, attach):

@@ -191,6 +191,18 @@ def test_gen_never_writes_non_finite_json(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "maxgap", "--values=1e-130,2e-130,5e-130", "--n", "2"],
+    ["gen", "maxgap", "--values=0,5e-324", "--n", "2"],
+    ["gen", "membership", "--f", "1,2", "--m", "3", "--perturb", "1:1e-200,0.5"],
+], ids=["maxgap-tiny", "maxgap-gap-underflows", "membership-perturb-tiny"])
+def test_gen_writes_only_instances_solve_accepts(tmp_path, argv, capsys):
+    out = tmp_path / "inst.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "coordinate magnitude outside [2**-400, 2**500]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_csv_output(capsys):
     assert main(["bench", "--sizes", "48,96", "--seed", "1", "--reps", "1"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

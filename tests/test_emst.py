@@ -11,7 +11,7 @@ from scipy.sparse.csgraph import connected_components
 
 from bsteiner import emst
 from bsteiner.emst import euclidean_mst, mst_prim_reference
-from bsteiner.geometry import pair_squared_distances, squared_distance
+from bsteiner.geometry import squared_distances
 
 
 def test_collinear_chain():
@@ -117,7 +117,7 @@ def test_kruskal_order_matches_lexsort():
         k = int(rng.integers(1, 6))
         S = rng.integers(-k, k + 1, (m, 2)).astype(float)
         u, v = emst._candidate_edges(S)
-        w = pair_squared_distances(S[u], S[v])
+        w = squared_distances(S[u], S[v])
         assert (w == 0).any() and len(np.unique(w)) < len(w) // 4
         assert np.array_equal(emst._edge_order(m, u, v, w), np.lexsort((v, u, w)))
         shuffled = rng.permutation(len(u))
@@ -290,7 +290,7 @@ def test_result_is_spanning_tree():
     assert len(set(component_labels(40, r.edges).tolist())) == 1
     # weights actually measure the endpoints
     for u, v, w in r.edges:
-        assert w == squared_distance(S[u], S[v])
+        assert w == squared_distances(S[u], S[v])
     # sorted by (w, u, v)
     key = list(zip(r.edge_w.tolist(), r.edge_u.tolist(), r.edge_v.tolist()))
     assert key == sorted(key)
@@ -308,7 +308,7 @@ def test_cut_property_exhaustive_small():
             assert not side[v]  # removing a tree edge splits the tree
             for i in np.flatnonzero(side):
                 for j in np.flatnonzero(~side):
-                    assert squared_distance(S[i], S[j]) >= w
+                    assert squared_distances(S[i], S[j]) >= w
 
 
 def test_path_property():
@@ -333,7 +333,7 @@ def test_path_property():
         a, b = rng.integers(0, 64, 2)
         if a == b:
             continue
-        assert path_max_edge(int(a), int(b)) <= squared_distance(S[a], S[b])
+        assert path_max_edge(int(a), int(b)) <= squared_distances(S[a], S[b])
 
 
 def test_deterministic_tie_break():

@@ -81,11 +81,23 @@ def test_maxgap_rejects_overflow(values):
 
 
 def test_maxgap_near_float64_range():
-    # the widest gaps that still fit give finite instances, without a warning
+    # gaps that fit float64 but put coordinates past 2**500 fail the instance
+    # boundary, without a warning; the widest gaps inside it give finite instances
+    with np.errstate(all="raise"), pytest.raises(ValueError, match=r"P\[0\]: coordinate magnitude"):
+        gen_maxgap_instance([-8e307, 8e307], 4, seed=5)
     with np.errstate(all="raise"):
-        inst = gen_maxgap_instance([-8e307, 8e307], 4, seed=5)
+        inst = gen_maxgap_instance([-(2.0**499), 2.0**499], 4, seed=5)
     assert np.isfinite([inst.delta, inst.g, inst.expected]).all()
-    assert np.isfinite(inst.P).all() and inst.expected == 1.6e308
+    assert np.isfinite(inst.P).all() and inst.expected == 2.0**500
+
+
+@pytest.mark.parametrize(
+    "values", [[1e-130, 2e-130, 5e-130], [0.0, 5e-324]], ids=["tiny", "gap-underflows"]
+)
+def test_maxgap_output_passes_the_instance_boundary(values):
+    # coordinates below 2**-400, or terminals on the candidates once g rounds to 0
+    with pytest.raises(ValueError, match=r"P\[\d\]: coordinate magnitude outside"):
+        gen_maxgap_instance(values, 2)
 
 
 def test_maxgap_deterministic():
@@ -98,6 +110,11 @@ def test_membership_example():
     inst = gen_membership_instance((1, 3), 3)
     assert inst.P.tolist() == [[0, 0], [4, 0], [1, 1], [3, 1]]
     assert inst.S.tolist() == [[1, 0], [2, 0], [3, 0]]
+
+
+def test_membership_output_passes_the_instance_boundary():
+    with pytest.raises(ValueError, match=r"P\[2\]: coordinate magnitude outside"):
+        gen_membership_instance((1, 2), 3, perturb=(1, (1e-200, 0.5)))
 
 
 def test_membership_anchors_only():

@@ -12,12 +12,8 @@ from bsteiner.geometry import (
     TWO_PI,
     as_points,
     check_disjoint,
-    cone_index,
-    cone_indices,
     cone_indices_from_deltas,
     max_gap,
-    squared_distance,
-    squared_distance_matrix,
     squared_distances,
 )
 
@@ -25,15 +21,15 @@ finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
 def test_squared_distance_examples():
-    assert squared_distance((0, 0), (1, 0)) == 1.0
-    assert squared_distance((0, 0), (0, 0)) == 0.0
-    assert squared_distance((1, 1), (4, 5)) == 25.0
+    assert squared_distances((0, 0), (1, 0)) == 1.0
+    assert squared_distances((0, 0), (0, 0)) == 0.0
+    assert squared_distances((1, 1), (4, 5)) == 25.0
 
 
 @given(finite_coord, finite_coord, finite_coord, finite_coord)
 def test_squared_distance_symmetry_and_zero(ax, ay, bx, by):
-    d = squared_distance((ax, ay), (bx, by))
-    assert d == squared_distance((bx, by), (ax, ay))
+    d = squared_distances((ax, ay), (bx, by))
+    assert d == squared_distances((bx, by), (ax, ay))
     assert d >= 0.0
     if (ax, ay) == (bx, by):
         assert d == 0.0
@@ -43,33 +39,43 @@ def test_triangle_inequality_sampled():
     rng = np.random.default_rng(0)
     for _ in range(500):
         a, b, c = rng.uniform(-100, 100, (3, 2))
-        ab = math.sqrt(squared_distance(a, b))
-        bc = math.sqrt(squared_distance(b, c))
-        ac = math.sqrt(squared_distance(a, c))
+        ab = math.sqrt(squared_distances(a, b))
+        bc = math.sqrt(squared_distances(b, c))
+        ac = math.sqrt(squared_distances(a, c))
         assert ac <= ab + bc + 1e-9
+
+
+def python_squared_distance(a, b):
+    """The length formula in Python float arithmetic, the reference for the broadcasts."""
+    dx = float(a[0]) - float(b[0])
+    dy = float(a[1]) - float(b[1])
+    return dx * dx + dy * dy
 
 
 def test_vectorized_distances_match_scalar_bitwise():
     rng = np.random.default_rng(1)
-    pts = rng.uniform(-50, 50, (40, 2))
-    q = rng.uniform(-50, 50, 2)
+    pts = rng.uniform(-50, 50, (40, 2)) * 2.0 ** rng.integers(-400, 497, (40, 1))
+    q = pts[-1]
+    rows = squared_distances(pts[:20], pts[20:])
+    assert rows.shape == (20,)
+    assert all(rows[i] == python_squared_distance(pts[i], pts[20 + i]) for i in range(20))
     vec = squared_distances(pts, q)
-    assert all(vec[i] == squared_distance(pts[i], q) for i in range(len(pts)))
-    mat = squared_distance_matrix(pts[:7], pts[7:19])
+    assert vec.shape == (40,)
+    assert all(vec[i] == python_squared_distance(pts[i], q) for i in range(len(pts)))
+    mat = squared_distances(pts[:7, None], pts[7:19])
+    assert mat.shape == (7, 12)
     for i in range(7):
         for j in range(12):
-            assert mat[i, j] == squared_distance(pts[i], pts[7 + j])
+            assert mat[i, j] == python_squared_distance(pts[i], pts[7 + j])
+    one = squared_distances(pts[0], q)
+    assert np.ndim(one) == 0 and one == python_squared_distance(pts[0], q)
+    assert squared_distances(tuple(pts[1]), tuple(q)) == python_squared_distance(pts[1], q)
 
 
 def test_cone_index_examples():
-    assert cone_index((0, 0), (1, 0)) == 0  # boundary belongs to the lower cone
-    assert cone_index((0, 0), (0, 1)) == 1
-    assert cone_index((0, 0), (-1, 0)) == 3
-
-
-def test_cone_index_degenerate():
-    with pytest.raises(ValueError, match="degenerate direction"):
-        cone_index((2, 3), (2, 3))
+    assert cone_indices_from_deltas(1.0, 0.0) == 0  # boundary belongs to the lower cone
+    assert cone_indices_from_deltas(0.0, 1.0) == 1
+    assert cone_indices_from_deltas(-1.0, 0.0) == 3
 
 
 def test_cone_partition_and_rotation():
@@ -85,17 +91,8 @@ def test_cone_partition_and_rotation():
         ang = (c + rng.uniform(0.01, 0.99)) * CONE_ANGLE
         r = rng.uniform(0.1, 10)
         d = np.array([r * math.cos(ang), r * math.sin(ang)])
-        assert cone_index(apex, apex + d) == c
-        assert cone_index(apex, apex + rot @ d) == (c + 1) % 6
-
-
-def test_cone_indices_vector_agrees_with_scalar():
-    rng = np.random.default_rng(3)
-    apex = rng.uniform(-5, 5, 2)
-    targets = apex + rng.uniform(-9, 9, (200, 2))
-    targets = targets[np.any(targets != apex, axis=1)]
-    vec = cone_indices(apex, targets)
-    assert all(int(vec[i]) == cone_index(apex, targets[i]) for i in range(len(targets)))
+        assert cone_indices_from_deltas(*((apex + d) - apex)) == c
+        assert cone_indices_from_deltas(*((apex + rot @ d) - apex)) == (c + 1) % 6
 
 
 def spec_cone(dx, dy):
@@ -151,8 +148,6 @@ def test_cone_classes_match_spec_on_zeros_and_round_up():
     assert want[0] == 5 and want[-1] == 0 and {0, 5} <= set(want[-129:].tolist())
     for x, y in zip(dx.tolist() + [1.0] * 3, dy.tolist() + tiny[[0, 20, -1]].tolist()):
         assert int(cone_indices_from_deltas(np.float64(x), np.float64(y))) == spec_cone(x, y)
-        if (x, y) != (0.0, 0.0):
-            assert cone_index((0.0, 0.0), (x, y)) == spec_cone(x, y)
 
 
 def test_cone_classes_match_spec_on_lattice_lines():
@@ -198,10 +193,10 @@ def test_same_cone_proximity_inequality():
         r1, r2 = rng.uniform(0.1, 10, 2)
         s = apex + [r1 * math.cos(a1), r1 * math.sin(a1)]
         sp = apex + [r2 * math.cos(a2), r2 * math.sin(a2)]
-        if squared_distance(apex, sp) > squared_distance(apex, s):
+        if squared_distances(apex, sp) > squared_distances(apex, s):
             s, sp = sp, s
         # |apex sp| <= |apex s|  implies  |s sp| <= |apex s|
-        assert squared_distance(s, sp) <= squared_distance(apex, s) * (1 + 1e-12)
+        assert squared_distances(s, sp) <= squared_distances(apex, s) * (1 + 1e-12)
 
 
 def test_max_gap_examples():

@@ -3,7 +3,7 @@ import pytest
 
 from bsteiner.decision import compare_to_optimal
 from bsteiner.generators import gen_maxgap_instance, gen_random_instance
-from bsteiner.geometry import squared_distance_matrix
+from bsteiner.geometry import squared_distances
 from bsteiner.oracle import _Prepared, brute_force_optimum, feasible
 from bsteiner.solver import preprocess, validate_full_steiner_tree
 
@@ -18,7 +18,7 @@ def test_feasible_examples():
     assert w.members.tolist() == [0, 1, 2]
     assert feasible(COLLINEAR_P, COLLINEAR_S, 0.81) is None
     pts = np.array(COLLINEAR_P + COLLINEAR_S)
-    lam = squared_distance_matrix(pts, pts).max()
+    lam = squared_distances(pts[:, None], pts).max()
     assert feasible(COLLINEAR_P, COLLINEAR_S, float(lam)) is not None
 
 
@@ -32,12 +32,12 @@ def test_feasible_witness_is_valid():
         w = feasible(P, S, lam)
         if w is None:
             continue
-        d = squared_distance_matrix(P, S)
+        d = squared_distances(P[:, None], S)
         for i, s in enumerate(w.attachment.tolist()):
             assert s in set(w.members.tolist())
             assert d[i, s] <= lam
         # members form one component of the threshold graph on S
-        dss = squared_distance_matrix(S, S)
+        dss = squared_distances(S[:, None], S)
         members = set(w.members.tolist())
         for a in members:
             reach = {a}

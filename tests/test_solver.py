@@ -17,7 +17,7 @@ from bsteiner.generators import (
     gen_membership_instance,
     gen_random_instance,
 )
-from bsteiner.geometry import squared_distance_matrix
+from bsteiner.geometry import cone_indices_from_deltas, squared_distances
 from bsteiner.oracle import brute_force_optimum
 from bsteiner.solver import (
     FullSteinerTree,
@@ -135,8 +135,16 @@ def test_domain_edges_match_oracle():
             with np.errstate(all="raise"):
                 r = solve(pts[:n], pts[n:])
                 lam, _ = brute_force_optimum(pts[:n], pts[n:])
+                ctx = preprocess(pts[:n], pts[n:])
             assert r.lambda_star == lam > 0
             validate_full_steiner_tree(r.tree)
+            # every layer measures with the one routine: tree edges and cone cells
+            P, S, emst, yao = ctx.P, ctx.S, ctx.emst, ctx.yao
+            assert np.array_equal(emst.edge_w, squared_distances(S[emst.edge_u], S[emst.edge_v]))
+            p, s = yao.p_idx, yao.s_idx
+            assert np.array_equal(yao.w, squared_distances(P[p], S[s]))
+            delta = S[s] - P[p]
+            assert np.array_equal(cone_indices_from_deltas(delta[:, 0], delta[:, 1]), yao.cone)
 
 
 def test_bottleneck_recompute():
@@ -197,7 +205,7 @@ def test_bounds_property():
         m = int(rng.integers(1, 25))
         P, S = gen_random_instance(n, m, 60.0, seed=int(rng.integers(1 << 31)))
         r = solve(P, S)
-        attach = squared_distance_matrix(P, S).min(axis=1).max()
+        attach = squared_distances(P[:, None], S).min(axis=1).max()
         emst = preprocess(P, S).emst
         longest = emst.edge_w[-1] if len(emst.edge_w) else 0.0
         assert attach <= r.lambda_star <= max(longest, attach)
@@ -260,7 +268,7 @@ def test_search_skips_indices_below_attach_bound(monkeypatch):
     skipped = 0
     for P, S in instances:
         ctx = preprocess(P, S)
-        attach = squared_distance_matrix(ctx.P, ctx.S).min(axis=1).max()
+        attach = squared_distances(ctx.P[:, None], ctx.S).min(axis=1).max()
         k = len(ctx.emst.thresholds)
         if k and attach < ctx.emst.thresholds[-1]:
             continue
@@ -330,7 +338,7 @@ def test_search_index_matches_linear_scan():
 def plain_bisection(ctx):
     """Index and probe count of a bisection from the attach bound to k + 1."""
     thresholds = ctx.emst.thresholds
-    attach = squared_distance_matrix(ctx.P, ctx.S).min(axis=1).max()
+    attach = squared_distances(ctx.P[:, None], ctx.S).min(axis=1).max()
     lo = int(np.searchsorted(thresholds, attach, side="right")) + 1
     hi = len(thresholds) + 1
     probes = 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsteiner.generators import gen_maxgap_instance, gen_random_instance
-from bsteiner.geometry import cone_indices, cone_indices_from_deltas, squared_distance_matrix
+from bsteiner.geometry import cone_indices_from_deltas, squared_distances
 from bsteiner.solver import solve, validate_instance
 from bsteiner import yao
 from bsteiner.yao import row_any, row_min, same_edges, yao_bipartite, yao_bruteforce
@@ -183,12 +183,13 @@ def check_graph_invariants(g, P, S):
     n, m = len(P), len(S)
     deg = g.degrees()
     assert ((deg >= 1) & (deg <= 6)).all()
-    d = squared_distance_matrix(np.asarray(P, float), np.asarray(S, float))
+    P, S = np.asarray(P, float), np.asarray(S, float)
+    d = squared_distances(P[:, None], S)
     for i in range(n):
         edges = g.edges_of(i)
         cones_seen = [c for _, c, _ in edges]
         assert len(set(cones_seen)) == len(cones_seen)  # one edge per cone
-        all_cones = cone_indices(np.asarray(P, float)[i], np.asarray(S, float))
+        all_cones = cone_indices_from_deltas(S[:, 0] - P[i, 0], S[:, 1] - P[i, 1])
         assert set(cones_seen) == set(all_cones.tolist())  # coverage
         for s, c, w in edges:
             assert w == d[i, s]
