@@ -123,7 +123,6 @@ def solution_document(report: SolveReport) -> dict:
         **tree_document(report.tree),
         "component": int(report.chosen_component),
         "threshold_index": int(report.threshold_index),
-        "timings": {k: int(v) for k, v in sorted(report.timings.items())},
     }
 
 
@@ -138,7 +137,6 @@ _SOLUTION_KEYS = {
     "threshold_index",
     "skeleton_edges",
     "external_edges",
-    "timings",
 }
 
 

@@ -142,10 +142,8 @@ def binary_search_threshold(ctx: SolverContext) -> int:
     return best
 
 
-def build_tree_for_component(
-    ctx: SolverContext, labeling: ComponentLabeling, j: int, threshold: float
-) -> FullSteinerTree:
-    """Assemble the full Steiner tree anchored on component j.
+def build_tree_for_component(ctx: SolverContext, labeling: ComponentLabeling, j: int) -> FullSteinerTree:
+    """Assemble the full Steiner tree anchored on component j at the labeling's threshold.
 
     The skeleton is every surviving spanning-tree edge inside the
     component; each terminal takes the shortest qualifying cell of its
@@ -153,7 +151,7 @@ def build_tree_for_component(
     """
     if not 0 <= j < labeling.component_count:
         raise ValueError("component not feasible at lambda")
-    label = labeling.label
+    label, threshold = labeling.label, labeling.threshold
     comp = np.flatnonzero(label == j).astype(np.int64)
 
     t = int(np.searchsorted(ctx.emst.edge_w, threshold, side="left"))
@@ -206,7 +204,7 @@ def solve(P, S) -> SolveReport:
     J = candidate_components(ctx, labeling)
     # the first minimum is the smallest label among equal bottlenecks
     tree, j = min(
-        ((build_tree_for_component(ctx, labeling, j, lam), j) for j in sorted(J)),
+        ((build_tree_for_component(ctx, labeling, j), j) for j in sorted(J)),
         key=lambda tj: tj[0].bottleneck,
     )
     t3 = time.perf_counter_ns()

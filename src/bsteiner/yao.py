@@ -16,10 +16,11 @@ and the open cells no such read can reach stay unsettled: the solver
 passes the largest edge of the candidates' spanning tree.  When many
 cells stay open, a proof from one sort of the candidates per cone
 settles the open cones that hold no candidate.  One batched exact search
-of the same tree settles the rest: it walks the tree's leaf boxes level
-by level for all open cells at once, pruning by distance and by the
-cone's two half-planes, which it reads from the proof's table `_CONES`,
-and classifies the leaf points in NumPy.
+of the same tree settles the rest: it cuts the tree's index order into
+leaves of one width, and walks their boxes level by level for all open
+cells at once, pruning by distance and by the cone's two half-planes,
+which it reads from the proof's table `_CONES`, and classifies the leaf
+points in NumPy.
 Both constructions measure every length with `geometry.squared_norms`
 and classify every cone with `geometry.cone_indices_from_deltas`, both
 applied to the deltas they already hold, so their tables are identical
@@ -27,12 +28,12 @@ bit for bit, and with a limit, identical in every cell below it and in
 each row's minimum.
 
 The search is what degenerate sets exercise.  On a 2-core machine
-`yao_bipartite(S, S)` takes about 0.46 s on 2**12 points of a circle, and
-it grows 3-4x per doubling there (1.7 s at 2**13, 5.1 s at 2**14),
+`yao_bipartite(S, S)` takes about 0.22 s on 2**12 points of a circle, and
+it grows 3-3.5x per doubling there (0.71 s at 2**13, 2.4 s at 2**14),
 because the cones nearly tangent to the circle meet the leaf boxes along
 the arc.  On a line of points at 60 degrees, where rounding leaves cones
-that no proof can settle, it takes about 0.07 s at 2**12 and 1.05 s at
-2**16, with doubling ratios of 1.7-2.5.
+that no proof can settle, it takes about 0.024 s at 2**12 and 0.50 s at
+2**16, with doubling ratios of 2.0-2.2.
 
 A candidate that coincides with the terminal lies in no cone, so an
 overlapping pair yields no edge.  The solver never meets one, because
@@ -64,11 +65,12 @@ from .geometry import (
 # there are at least m / _LEAF_SIZE of them, and then to the exact cone
 # search.
 _KNN_START = 32
-# Leaf size of the k-d tree over S, chosen by measurement on a 2-core
-# machine.  Against scipy's default of 16, 64 leaves the kNN round at 2**19
-# points level, and 128 and 256 slow it by 10-30 %.  The batched cone
-# search is about as fast with leaves of 16 to 64 points (62-72 ms along a
-# line of 2**13 points at 60 degrees, 0.48-0.52 s on a circle of 2**12).
+# Leaf size of the k-d tree over S, and the largest leaf width of the cone
+# search, chosen by measurement on a 2-core machine.  Against scipy's
+# default of 16, 64 leaves the kNN round at 2**19 points level, and 128 and
+# 256 slow it by 10-30 %.  The batched cone search is about as fast with
+# leaves of 16 to 64 points (47-55 ms along a line of 2**13 points at 60
+# degrees, 0.22-0.23 s on a circle of 2**12), and 128 slows the circle by 9 %.
 _LEAF_SIZE = 64
 # Each round's neighbor lists are reduced in row blocks of about this many
 # neighbors, so the glue around the query holds a few (rows, k) arrays of
@@ -298,14 +300,15 @@ def _scatter_min(keys: np.ndarray, w: np.ndarray, s: np.ndarray, size: int, m: i
 
 @dataclass(frozen=True)
 class _Boxes:
-    """The leaves of a k-d tree over S and the bounding boxes above them.
+    """Fixed-width leaves of candidates and the bounding boxes above them.
 
-    The leaves hold contiguous ranges of the tree's `indices`, so `x` and
-    `y` list the candidates `order` leaf by leaf: leaf j holds positions
-    `start[j]` to `start[j] + size[j]`.  Each level is a (4, count) array
-    of boxes (x0, y0, x1, y1).  `levels[-1]` holds the tight box of each
-    leaf, and each level above pairs consecutive boxes of the one below
-    (an odd last box stands alone), up to the one box of all candidates in
+    Row j of `order` is leaf j, a run of consecutive entries of the k-d
+    tree's `indices` padded to the common width with copies of its last
+    entry, and `x` and `y` hold the leaves' coordinates in the same
+    (leaves, width) shape.  The leaf count is a power of two.  Each level
+    is a (4, count) array of boxes (x0, y0, x1, y1).  `levels[-1]` holds
+    the tight box of each leaf, and each level above pairs consecutive
+    boxes of the one below, up to the one box of all candidates in
     `levels[0]`.  The children of box j are boxes 2j and 2j + 1 of the
     next level.
     """
@@ -313,39 +316,32 @@ class _Boxes:
     order: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    start: np.ndarray
-    size: np.ndarray
     levels: list
 
 
 def _boxes(kdtree: cKDTree, S: np.ndarray) -> _Boxes:
-    """Read the leaf ranges of `kdtree` once and box them."""
-    ends = []
-    stack = [kdtree.tree]
-    while stack:
-        node = stack.pop()
-        if node.split_dim < 0:
-            ends.append(node.end_idx)
-        else:
-            stack += (node.greater, node.lesser)
-    order = np.asarray(kdtree.indices)
+    """Cut the tree's index order into leaves of at most `_LEAF_SIZE` candidates and box them.
+
+    The order is halved as the balanced tree halves its nodes, n // 2
+    entries first, until no run holds more than `_LEAF_SIZE`.  Where the
+    tree splits between distinct coordinates, each run then lies inside
+    one of its nodes, and its box is no larger than that node's.  Any
+    partition gives the same answers: a padding copy leaves its leaf's
+    box unchanged and can only repeat a (w, s) pair, which `_scatter_min`
+    ignores.
+    """
+    size = np.array([len(S)])
+    while size[-1] > _LEAF_SIZE:
+        size = np.column_stack((size // 2, size - size // 2)).ravel()
+    start = np.cumsum(size) - size
+    order = kdtree.indices[start[:, None] + np.minimum(np.arange(size[-1]), size[:, None] - 1)]
     x, y = S[order, 0], S[order, 1]
-    start = np.r_[0, ends[:-1]].astype(np.intp)
-    box = np.array([f.reduceat(v, start) for f in (np.minimum, np.maximum) for v in (x, y)])
+    box = np.array([x.min(axis=1), y.min(axis=1), x.max(axis=1), y.max(axis=1)])
     levels = [box]
     while box.shape[1] > 1:
-        if box.shape[1] % 2:
-            box = np.column_stack((box, box[:, -1]))
         box = np.vstack((np.minimum(box[:2, 0::2], box[:2, 1::2]), np.maximum(box[2:, 0::2], box[2:, 1::2])))
         levels.append(box)
-    return _Boxes(order, x, y, start, np.diff(np.r_[start, len(S)]), levels[::-1])
-
-
-def _leaf_points(boxes: _Boxes, leaf: np.ndarray) -> np.ndarray:
-    """Positions in `boxes.x` and `boxes.y` of every point of the given leaves, leaf by leaf."""
-    size = boxes.size[leaf]
-    first = np.cumsum(size) - size
-    return np.repeat(boxes.start[leaf] - first, size) + np.arange(first[-1] + size[-1])
+    return _Boxes(order, x, y, levels[::-1])
 
 
 def _walk(boxes: _Boxes, test: np.ndarray, cone: np.ndarray, r2: np.ndarray, seen: np.ndarray, m: int):
@@ -370,8 +366,6 @@ def _walk(boxes: _Boxes, test: np.ndarray, cone: np.ndarray, r2: np.ndarray, see
         if depth:
             node = (2 * node[:, None] + np.array([0, 1])).ravel()
             q = np.repeat(q, 2)
-            keep = node < level.shape[1]
-            node, q = node[keep], q[keep]
         x0, y0, x1, y1 = level[:, node]
         ax, ay, cos_a, sin_a, t_a, cos_b, sin_b, t_b = test[:, q]
         dx = np.maximum(np.maximum(x0 - ax, ax - x1), 0.0)
@@ -392,19 +386,18 @@ def _walk(boxes: _Boxes, test: np.ndarray, cone: np.ndarray, r2: np.ndarray, see
 
     best_w = np.full(a, np.inf)
     best_s = np.full(a, m, dtype=np.int64)
-    if not len(q):
-        return best_w, best_s, beyond
     # gather the leaves in slices of about _BLOCK / 4 points
-    ends = np.cumsum(boxes.size[node]) // max(1, _BLOCK >> 2)
-    for part in np.split(np.arange(len(q)), np.flatnonzero(np.diff(ends)) + 1):
-        pos = _leaf_points(boxes, node[part])
-        qq = np.repeat(q[part], boxes.size[node[part]])
-        dx = boxes.x[pos] - test[0, qq]
-        dy = boxes.y[pos] - test[1, qq]
+    width = boxes.x.shape[1]
+    step = max(1, (_BLOCK >> 2) // width)
+    for lo in range(0, len(q), step):
+        leaf, qq = node[lo : lo + step], q[lo : lo + step]
+        dx = boxes.x[leaf] - test[0, qq, None]
+        dy = boxes.y[leaf] - test[1, qq, None]
         w = squared_norms(dx, dy)
-        hit = np.flatnonzero((w > 0) & (w <= r2[qq]))  # a point on the apex lies in no cone
-        hit = hit[cone_indices_from_deltas(dx[hit], dy[hit]) == cone[qq[hit]]]
-        acc_w, acc_s = _scatter_min(qq[hit], w[hit], boxes.order[pos[hit]], a, m)
+        hit = np.flatnonzero((w > 0) & (w <= r2[qq, None]))  # a point on the apex lies in no cone
+        hit = hit[cone_indices_from_deltas(dx.ravel()[hit], dy.ravel()[hit]) == cone[qq[hit // width]]]
+        row = hit // width
+        acc_w, acc_s = _scatter_min(qq[row], w.ravel()[hit], boxes.order[leaf[row], hit % width], a, m)
         better = (acc_w < best_w) | ((acc_w == best_w) & (acc_s < best_s))
         best_w = np.where(better, acc_w, best_w)
         best_s = np.where(better, acc_s, best_s)

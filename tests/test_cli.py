@@ -44,6 +44,19 @@ def test_solve_text_format(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["bottleneck"] == 1.0
 
 
+def test_solve_output_repeats_byte_for_byte(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    assert main(["gen", "random", "--n", "40", "--m", "60", "--seed", "3", "--out", str(path)]) == 0
+    capsys.readouterr()
+    runs = []
+    for i in range(2):
+        sol = tmp_path / f"sol{i}.json"
+        assert main(["solve", "--input", str(path), "--json", str(sol)]) == 0
+        runs.append((capsys.readouterr().out, sol.read_bytes()))
+    assert runs[0] == runs[1]
+    assert "timings" not in json.loads(runs[0][0])
+
+
 def test_decide_verdicts(instance_file, capsys):
     assert main(["decide", "--input", str(instance_file), "--lambda", "1.5"]) == 0
     out = capsys.readouterr().out

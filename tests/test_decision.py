@@ -115,7 +115,7 @@ def test_feasible_component_carries_cheap_tree():
         assert J
         best_ext = np.inf
         for j in J:
-            tree = build_tree_for_component(ctx, lab, j, lam)
+            tree = build_tree_for_component(ctx, lab, j)
             ext_w = [
                 float(
                     (P[i, 0] - S[s, 0]) ** 2 + (P[i, 1] - S[s, 1]) ** 2

@@ -78,7 +78,7 @@ def test_binary_search_sandwich_on_maxgap():
 def test_build_tree_single_pair():
     ctx = preprocess([(1, 0)], [(0, 0)])
     lab = forest_components(ctx.emst, np.inf)
-    tree = build_tree_for_component(ctx, lab, 0, np.inf)
+    tree = build_tree_for_component(ctx, lab, 0)
     assert tree.skeleton_edges.shape == (0, 2)
     assert tree.external_edges.tolist() == [0]
     assert tree.bottleneck == 1.0
@@ -88,7 +88,7 @@ def test_build_tree_single_pair():
 def test_build_tree_collinear():
     ctx = preprocess(COLLINEAR_P, COLLINEAR_S)
     lab = forest_components(ctx.emst, np.inf)
-    tree = build_tree_for_component(ctx, lab, 0, np.inf)
+    tree = build_tree_for_component(ctx, lab, 0)
     assert sorted(map(tuple, np.sort(tree.skeleton_edges, axis=1).tolist())) == [
         (0, 1),
         (1, 2),
@@ -101,9 +101,9 @@ def test_build_tree_infeasible_component():
     ctx = preprocess(COLLINEAR_P, COLLINEAR_S)
     lab = forest_components(ctx.emst, 1.0)  # three singletons, none feasible
     with pytest.raises(ValueError, match="not feasible"):
-        build_tree_for_component(ctx, lab, 0, 1.0)
+        build_tree_for_component(ctx, lab, 0)
     with pytest.raises(ValueError, match="not feasible"):
-        build_tree_for_component(ctx, forest_components(ctx.emst, np.inf), 7, np.inf)
+        build_tree_for_component(ctx, forest_components(ctx.emst, np.inf), 7)
 
 
 def test_membership_attachments():
@@ -236,7 +236,7 @@ def test_brute_yao_variant_agrees():
         lam = threshold_value(ctx.emst, ell)
         lab = forest_components(ctx.emst, lam)
         lam_star = min(
-            build_tree_for_component(ctx, lab, j, lam).bottleneck
+            build_tree_for_component(ctx, lab, j).bottleneck
             for j in compare_to_optimal(ctx, lam)
         )
         r = solve(P, S)
@@ -543,8 +543,8 @@ def test_truncated_table_answers_like_the_complete_one():
         lam = threshold_value(ctx.emst, ell)
         lab = forest_components(ctx.emst, lam)
         for j in compare_to_optimal(ctx, lam):
-            a = build_tree_for_component(ctx, lab, j, lam)
-            b = build_tree_for_component(ref, lab, j, lam)
+            a = build_tree_for_component(ctx, lab, j)
+            b = build_tree_for_component(ref, lab, j)
             assert np.array_equal(a.external_edges, b.external_edges)
             assert a.bottleneck == b.bottleneck
         if family == 1:

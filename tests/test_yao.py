@@ -149,7 +149,7 @@ def test_cone_table_admits_every_classified_direction(family):
         assert (-yao._cross(lower, Q) <= t_a).all()
         assert (yao._cross(upper, Q) < t_b).all()
         box = q[[0, 1, 0, 1], None]
-        boxes = yao._Boxes(np.array([0]), box[0], box[1], np.array([0]), np.array([1]), [box])
+        boxes = yao._Boxes(np.array([[0]]), box[:1], box[1:2], [box])
         test = np.vstack((P.T, lower, t_a, upper, t_b))
         _, s, _ = yao._walk(boxes, test, c, np.full(len(P), np.inf), np.full(len(P), -1.0), 1)
         assert (s == 0).all()
@@ -597,7 +597,7 @@ def test_search_on_degenerate_pools_against_themselves(monkeypatch, pool):
         with monkeypatch.context() as mp:
             if knobs is not None:
                 force_fallback(mp, *knobs)
-            for size in (5, 40, 300):
+            for size in (5, 40, 64, 65, 300):
                 S = points[rng.integers(0, len(points), size)]
                 for exponent in (None, 499, -400):
                     T, _ = _to_magnitude(S, S, exponent)
@@ -610,14 +610,24 @@ def test_examined_points_scale_on_sixty_degree_lines(monkeypatch):
     # examines grow at most 2.6x per doubling of the line (a count, not a
     # time; quadratic growth would read 4x)
     examined = []
-    leaf_points = yao._leaf_points
+    boxes = yao._boxes
 
-    def counted(boxes, leaf):
-        pos = leaf_points(boxes, leaf)
-        examined[-1] += len(pos)
-        return pos
+    class Gathered:
+        """A leaf coordinate array that counts the points gathered from it."""
 
-    monkeypatch.setattr(yao, "_leaf_points", counted)
+        def __init__(self, a):
+            self.a, self.shape = a, a.shape
+
+        def __getitem__(self, leaf):
+            out = self.a[leaf]
+            examined[-1] += out.size
+            return out
+
+    def counted(kdtree, S):
+        b = boxes(kdtree, S)
+        return yao._Boxes(b.order, Gathered(b.x), b.y, b.levels)
+
+    monkeypatch.setattr(yao, "_boxes", counted)
     for e in range(10, 14):
         t = np.random.default_rng(314).permutation(2**e).astype(float)
         S = t[:, None] * np.array([np.cos(np.pi / 3), np.sin(np.pi / 3)]) * 1.7
