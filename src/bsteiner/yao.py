@@ -8,13 +8,16 @@ and the graph is kept as its (n, 6) cone table, `YaoGraph`.
 
 Two constructions fill the same table: `yao_bruteforce` scans all
 candidate points per terminal, `yao_bipartite` accelerates the search with
-one k-d tree over the candidates in three steps.  One kNN round, with the
+one k-d tree over the candidates in three steps.  A kNN round, with the
 terminals in Z-order and its neighbor lists reduced in fixed-size row
 blocks, settles most cells.  A caller that reads no cell at or above a
 squared length `limit`, other than each row's minimum, passes that limit,
 and the open cells no such read can reach stay unsettled: the solver
-passes the largest edge of the candidates' spanning tree.  When many
-cells stay open, a proof from one sort of the candidates per cone
+passes the largest edge of the candidates' spanning tree.  The round then
+fetches only the neighbors within a hair above sqrt(limit), and a second,
+small round fetches the two nearest candidates of each terminal left
+with no settled cell, mostly one with nothing that near.  When
+many cells stay open, a proof from one sort of the candidates per cone
 settles the open cones that hold no candidate.  One batched exact search
 of the same tree settles the rest: it cuts the tree's index order into
 leaves of one width, and walks their boxes level by level for all open
@@ -60,8 +63,8 @@ from .geometry import (
     squared_norms,
 )
 
-# The kNN round fetches k = _KNN_START neighbors per terminal; cones it
-# leaves open and the limit lets through go to the emptiness proof, when
+# The kNN round fetches up to k = _KNN_START neighbors per terminal; cones
+# it leaves open and the limit lets through go to the emptiness proof, when
 # there are at least m / _LEAF_SIZE of them, and then to the exact cone
 # search.
 _KNN_START = 32
@@ -298,6 +301,48 @@ def _scatter_min(keys: np.ndarray, w: np.ndarray, s: np.ndarray, size: int, m: i
     return acc_w, acc_s
 
 
+def _knn_round(kdtree, P, rows, k, bound, Sx, Sy, best_w, best_s, done, radius) -> None:
+    """Fill the table rows of terminals `rows` from one k-nearest-neighbor query.
+
+    The query fetches the k nearest candidates of each row that lie
+    within distance `bound`, and pads a row with fewer (index m, distance
+    inf).  Each cone takes its nearest fetched candidate, and a cell is
+    done once that candidate lies strictly inside the row's radius, the
+    k-th distance or `bound`, whichever is smaller: no unfetched candidate
+    lies nearer.  An unbounded query of every candidate settles every cell.
+    `radius` keeps that radius, the floor of every open cell's length.
+    The neighbor lists are reduced in row blocks of about `_BLOCK`
+    neighbors; each write goes through the terminal's own index.
+    """
+    m = len(Sx)
+    d, idx = kdtree.query(P[rows], k=k, distance_upper_bound=bound, workers=-1)
+    idx = np.atleast_1d(idx).reshape(len(rows), k)
+    radius[rows] = np.atleast_1d(d).reshape(len(rows), k)[:, -1]
+    del d
+    radius[rows] = np.minimum(radius[rows], bound)  # after d is freed: d and idx set the peak
+    complete = k == m and bound == np.inf
+    step = max(1, _BLOCK // k)
+    for lo in range(0, len(rows), step):
+        block = rows[lo : lo + step]
+        b = len(block)
+        flat = idx[lo : lo + step].reshape(-1)
+        at = np.flatnonzero(flat < m)  # drop the padding
+        row, s = at // k, flat[at]
+        apex = P[block]
+        dx = Sx[s] - apex[row, 0]
+        dy = Sy[s] - apex[row, 1]
+        w = squared_norms(dx, dy)
+        w[w == 0] = np.inf  # a point on the apex lies in no cone
+        keys = row * NUM_CONES + cone_indices_from_deltas(dx, dy)
+        acc_w, acc_s = _scatter_min(keys, w, s, b * NUM_CONES, m)
+        acc_w = acc_w.reshape(b, NUM_CONES)
+        found = np.isfinite(acc_w)
+        best_w[block] = acc_w
+        best_s[block] = np.where(found, acc_s.reshape(b, NUM_CONES), m)
+        # strict: equal radii could hide an unseen tie with smaller index
+        done[block] = complete | (found & (np.sqrt(acc_w) < radius[block, None]))
+
+
 @dataclass(frozen=True)
 class _Boxes:
     """Fixed-width leaves of candidates and the bounding boxes above them.
@@ -450,30 +495,44 @@ def _cone_search(kdtree, P, S, cells, radius, best_w, best_s) -> None:
 def yao_bipartite(P, S, limit: float = np.inf) -> YaoGraph:
     """Accelerated construction, identical output to `yao_bruteforce` below `limit`.
 
-    One batched k-nearest-neighbor round (k = `_KNN_START`) answers most
-    (terminal, cone) cells: a cone is settled once its best in-cone
-    candidate lies strictly inside the k-th-neighbor ball (or when k is
-    the full candidate count).  An open cell's length is at least r², r
-    its terminal's k-th-neighbor radius.  It is left unsettled, and reads
-    as empty, when r² is at or above `limit` and above the smallest cell
-    its row settled: then no read below `limit` and no row minimum can
-    see it (`YaoGraph.limit`).  When at least m / `_LEAF_SIZE` cells stay
-    open, the open cones that provably hold no candidate are then settled
-    all at once (`_empty_cones`); fewer open cells cost the search less
-    than the proof's six sorts of S.  Every cell still open, typically of
+    A batched k-nearest-neighbor round (`_knn_round`, k = `_KNN_START`)
+    answers most (terminal, cone) cells: a cone is settled once its best
+    in-cone candidate lies strictly inside the row's radius r.  An open
+    cell's length is at least r².  It is left unsettled, and reads as
+    empty, when r² is at or above `limit` and above the smallest cell its
+    row settled: then no read below `limit` and no row minimum can see it
+    (`YaoGraph.limit`).
+
+    So the round fetches only what such a read can see.  Its query stops
+    at b = sqrt(`limit`) (1 + 2**-30), and pads a row with fewer than k
+    candidates within b; the padding is dropped before the cones are
+    classified.  r is the k-th distance or b, whichever is smaller, so
+    every candidate the round did not fetch lies at or beyond r, and a
+    row padded short has r² (1 - 2**-40) >= `limit`.  Its open cells stay
+    unsettled when the row settled a cell.  A row that settled none has
+    no minimum to skip against; mostly it holds nothing within b, so only
+    its nearest cell can be read.  A second, unbounded round fetches the
+    two nearest candidates of those rows, and their radius becomes the
+    second distance.  Only an unbounded round of all m candidates settles
+    every cell at once.  Without a limit, b is inf and one round runs.
+
+    When at least m / `_LEAF_SIZE` cells stay open, the open cones that
+    provably hold no candidate are then settled all at once
+    (`_empty_cones`); fewer open cells cost the search less than the
+    proof's six sorts of S.  Every cell still open, typically of
     terminals near the hull with sparse cones, goes to one batched exact
     search of the same k-d tree (`_cone_search`): a level-by-level walk of
     the leaf boxes that prunes by distance and by the two half-planes of
     the cone, and classifies the leaf points in NumPy.  Without a limit
     every open cell is settled and the table is complete.
 
-    The round visits the terminals in Morton order (`_z_order`), so
-    consecutive queries walk nearby parts of the tree.  It keeps only the
-    k-th-neighbor radius of the distances the query returns, and reduces
-    the neighbor lists in row blocks of about `_BLOCK` neighbors.  Rows
-    are independent, every write goes through the terminal's own index,
-    and ties compare candidate indices, so neither the order nor the
-    blocks change the graph.
+    The first round visits the terminals in Morton order (`_z_order`), so
+    consecutive queries walk nearby parts of the tree.  A round keeps
+    only the k-th distance of those the query returns, and reduces the
+    neighbor lists in row blocks of about `_BLOCK` neighbors.  Rows are
+    independent, every write goes through the terminal's own index, and
+    ties compare candidate indices, so neither the order nor the blocks
+    change the graph.
 
     The module constants `_KNN_START`, `_LEAF_SIZE` and `_BLOCK`, and the
     visit order, only trade speed and memory; any setting yields the same
@@ -483,6 +542,8 @@ def yao_bipartite(P, S, limit: float = np.inf) -> YaoGraph:
     S = as_points(S, "S")
     n, m = len(P), len(S)
     limit = float(limit)
+    if not limit >= 0.0:
+        raise ValueError(f"limit must be a squared length >= 0, got {limit!r}")
     best_w = np.full((n, NUM_CONES), np.inf)
     best_s = np.full((n, NUM_CONES), m, dtype=np.int64)
     if not (n and m):
@@ -492,40 +553,25 @@ def yao_bipartite(P, S, limit: float = np.inf) -> YaoGraph:
 
     kdtree = cKDTree(S, leafsize=_LEAF_SIZE)
     Sx, Sy = np.ascontiguousarray(S[:, 0]), np.ascontiguousarray(S[:, 1])
-    order = _z_order(P)
-    k = min(_KNN_START, m)
-    d, idx = kdtree.query(P[order], k=k, workers=-1)
-    idx = np.atleast_1d(idx).reshape(n, k)
-    radius[order] = np.atleast_1d(d).reshape(n, k)[:, -1]
-    del d
-    rows = max(1, _BLOCK // k)
-    for lo in range(0, n, rows):
-        block = order[lo : lo + rows]
-        b = len(block)
-        apex = P[block]
-        nbr = idx[lo : lo + rows]
-        dx = Sx[nbr] - apex[:, 0, None]
-        dy = Sy[nbr] - apex[:, 1, None]
-        w = squared_norms(dx, dy).reshape(-1)
-        w[w == 0] = np.inf  # a point on the apex lies in no cone
-        cone = cone_indices_from_deltas(dx, dy)
-        keys = (np.arange(b, dtype=np.int64)[:, None] * NUM_CONES + cone).reshape(-1)
-        acc_w, acc_s = _scatter_min(keys, w, nbr.reshape(-1), b * NUM_CONES, m)
-        acc_w = acc_w.reshape(b, NUM_CONES)
-        found = np.isfinite(acc_w)
-        best_w[block] = acc_w
-        best_s[block] = np.where(found, acc_s.reshape(b, NUM_CONES), m)
-        # strict: equal radii could hide an unseen tie with smaller index
-        done[block] = (k == m) | (found & (np.sqrt(acc_w) < radius[block, None]))
-    del idx
+    # a margin above the limit's root, so that the floor below clears the limit
+    bound = math.sqrt(limit) * (1.0 + 2.0**-30)
+    _knn_round(kdtree, P, _z_order(P), min(_KNN_START, m), bound, Sx, Sy, best_w, best_s, done, radius)
+    if bound < np.inf:
+        # a row with no settled cell has no settled minimum to skip against:
+        # fetch its two nearest candidates, without the bound
+        lone = np.flatnonzero(~row_any(done))
+        if len(lone):
+            _knn_round(kdtree, P, lone, min(2, m), np.inf, Sx, Sy, best_w, best_s, done, radius)
 
     cells = np.argwhere(~done)
     p = cells[:, 0]
     # An open cell's candidates were either not fetched, so lie at or
-    # beyond the radius r, or fetched no nearer than r.  cKDTree's r and
-    # the table's w each carry a few ulps of rounding, so r² (1 - 2**-40)
-    # is a floor on the cell's w with a margin of thousands of ulps.  A
-    # cell whose floor is at or above the limit and above its row's
+    # beyond the radius r = min(k-th distance, b), or fetched no nearer
+    # than r.  cKDTree's distances and its cut at b, and the table's w,
+    # each carry a few ulps of rounding, so r² (1 - 2**-40) is a floor on
+    # the cell's w with a margin of thousands of ulps.  Where r = b it is
+    # at or above the limit, as b² exceeds the limit by about 2**-29 of
+    # it.  A cell whose floor is at or above the limit and above its row's
     # settled minimum can neither be read below the limit nor be, or tie
     # with, its row's minimum: it stays unsettled.
     floor = radius[p] ** 2 * (1.0 - 2.0**-40)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+from bsteiner.emst import euclidean_mst
 from bsteiner.generators import gen_maxgap_instance, gen_random_instance
 from bsteiner.geometry import cone_indices_from_deltas, squared_distances
 from bsteiner.solver import solve, validate_instance
@@ -369,6 +371,128 @@ def test_solve_settles_no_open_cell_on_a_hull(monkeypatch):
     assert proofs == [] and searches == []
     assert same_edges(yao_bruteforce(P, S), yao_bipartite(P, S))
     assert len(searches) == 1 and searches[0] > 0
+
+
+def assert_exact_below(g, P, S, limit):
+    """g equals the complete table in every cell below limit and in each
+    row's minimum, ties and their candidate index included; any other cell
+    is equal or empty."""
+    full = yao_bruteforce(P, S)
+    same = (g.best_w == full.best_w) & (g.best_s == full.best_s)
+    empty = (g.best_w == np.inf) & (g.best_s == len(S))
+    exact = (full.best_w < limit) | (full.best_w == row_min(full.best_w)[:, None])
+    assert g.limit == limit
+    assert same[exact].all() and (same | empty).all()
+
+
+def _mst_limit(S):
+    thresholds = euclidean_mst(S).thresholds
+    return thresholds[-1] if len(thresholds) else np.inf
+
+
+def test_bounded_round_with_every_candidate_fetchable():
+    # m <= 32, so k == m, but the bounded query still leaves out the
+    # candidates beyond the limit: no row may count as complete
+    rng = np.random.default_rng(331)
+    cut = 0
+    for _ in range(30):
+        m, n = int(rng.integers(2, 33)), int(rng.integers(1, 40))
+        S, P = rng.uniform(0.0, 10.0, (m, 2)), rng.uniform(-2.0, 12.0, (n, 2))
+        limit = _mst_limit(S)
+        assert_exact_below(yao_bipartite(P, S, limit), P, S, limit)
+        cut += int(np.count_nonzero(squared_distances(P[:, None], S) >= limit))
+    assert cut > 0
+
+
+def test_bounded_round_in_a_dense_cluster():
+    # a dense cluster inside a sparse set: the sparse set's long tree edges
+    # put far more than k candidates within sqrt(M) of a cluster terminal,
+    # whose radius is then its k-th distance, while sparse terminals hold
+    # fewer than k and are padded
+    rng = np.random.default_rng(332)
+    for _ in range(4):
+        S = np.concatenate((rng.uniform(0.0, 100.0, (150, 2)), 50.0 + _ring(rng, 200, 0.0, 1.0)))
+        P = np.concatenate((50.0 + _ring(rng, 20, 0.0, 1.2), rng.uniform(0.0, 100.0, (20, 2))))
+        limit = _mst_limit(S)
+        within = np.count_nonzero(squared_distances(P[:, None], S) < limit, axis=1)
+        assert within.max() > yao._KNN_START > within.min()
+        assert_exact_below(yao_bipartite(P, S, limit), P, S, limit)
+
+
+def record_queries(monkeypatch):
+    """Record each kNN query of `yao_bipartite`: its rows, k and distance bound."""
+    calls = []
+
+    class Recording(cKDTree):
+        def query(self, x, k=1, **kwargs):
+            calls.append((np.array(x), k, kwargs.get("distance_upper_bound", np.inf)))
+            return super().query(x, k=k, **kwargs)
+
+    monkeypatch.setattr(yao, "cKDTree", Recording)
+    return calls
+
+
+def _same_rows(a, b):
+    return sorted(map(tuple, a.tolist())) == sorted(map(tuple, b.tolist()))
+
+
+def test_query_plan_bounds_the_first_round_by_the_limit(monkeypatch):
+    # one bounded round of every terminal, then an unbounded k = 2 round of
+    # the terminals with nothing within the bound, here the outer ring
+    calls = record_queries(monkeypatch)
+    rng = np.random.default_rng(333)
+    P, S = _ring(rng, 40, 1.05, 1.5), _ring(rng, 100, 0.0, 1.0)
+    limit = _mst_limit(S)
+    g = yao_bipartite(P, S, limit)
+    assert len(calls) == 2
+    (rows, k, bound), (lone, k2, bound2) = calls
+    assert _same_rows(rows, P) and k == yao._KNN_START
+    assert np.sqrt(limit) < bound < np.sqrt(limit) * (1 + 2.0**-29)
+    far = squared_distances(P[:, None], S).min(axis=1) >= limit
+    assert 0 < far.sum() and _same_rows(lone, P[far])
+    assert k2 == 2 and bound2 == np.inf
+    assert_exact_below(g, P, S, limit)
+
+
+def test_query_plan_without_a_limit(monkeypatch):
+    calls = record_queries(monkeypatch)
+    rng = np.random.default_rng(333)
+    P, S = _ring(rng, 40, 1.05, 1.5), _ring(rng, 100, 0.0, 1.0)
+    g = yao_bipartite(P, S)
+    assert len(calls) == 1
+    rows, k, bound = calls[0]
+    assert _same_rows(rows, P) and k == yao._KNN_START and bound == np.inf
+    assert same_edges(g, yao_bruteforce(P, S))
+
+
+@pytest.mark.parametrize("limit", [np.nan, -1.0, -np.inf])
+def test_limit_must_be_a_squared_length(limit):
+    with pytest.raises(ValueError, match="limit"):
+        yao_bipartite([(0.0, 0.0)], [(1.0, 0.0)], limit)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.data())
+def test_limited_table_matches_bruteforce_below_the_limit(data):
+    family = data.draw(st.sampled_from(["uniform", "lattice", "far"]))
+    n, m = data.draw(st.integers(1, 50)), data.draw(st.integers(1, 90))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if family == "lattice":
+        # integer candidates with duplicates, terminals at integer and half-integer points
+        S = rng.integers(0, 8, (m, 2)).astype(float)
+        P = rng.integers(-2, 10, (n, 2)) + rng.choice([0.0, 0.5], (n, 2))
+    else:
+        S, P = rng.uniform(0.0, 10.0, (m, 2)), rng.uniform(0.0, 10.0, (n, 2))
+        if family == "far":
+            far = rng.random(n) < 0.3
+            P[far] = 5.0 + _ring(rng, int(far.sum()), 50.0, 1000.0)
+    if data.draw(st.booleans()):
+        limit = _mst_limit(S)
+    else:
+        # an exact lattice squared length: lattice candidates sit exactly at sqrt(limit)
+        a, b = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+        limit = float(a * a + b * b)
+    assert_exact_below(yao_bipartite(P, S, limit), P, S, limit)
 
 
 def _block_families():
