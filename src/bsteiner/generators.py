@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import as_points, max_gap, points_as_complex
+from .geometry import as_points, isin_sorted, max_gap, points_as_complex
 from .solver import FullSteinerTree, validate_instance
 
 
@@ -154,9 +154,9 @@ def gen_random_instance(n: int, m: int, extent: float, seed) -> tuple[np.ndarray
     rng = np.random.default_rng(seed)
     S = as_points(rng.uniform(0.0, extent, (m, 2)), "S")
     P = as_points(rng.uniform(0.0, extent, (n, 2)), "P")
-    skey = points_as_complex(S)
+    skey = np.sort(points_as_complex(S))
     while True:
-        clash = np.isin(points_as_complex(P), skey)
+        clash = isin_sorted(points_as_complex(P), skey)
         if not clash.any():
             break
         P[clash] = rng.uniform(0.0, extent, (int(clash.sum()), 2))

@@ -47,14 +47,21 @@ def points_as_complex(pts: np.ndarray) -> np.ndarray:
     return q[:, 0] + 1j * q[:, 1]
 
 
+def isin_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a that occur in b, equal to `np.isin(a, b)`.
+
+    b must be sorted and non-empty.  One binary search per entry of a
+    allocates a few arrays of a's length and none of b's.
+    """
+    return b[np.minimum(np.searchsorted(b, a), len(b) - 1)] == a
+
+
 def check_disjoint(P: np.ndarray, S: np.ndarray) -> None:
     """Raise if the two point sets share any coordinate pair."""
     a = np.sort(points_as_complex(P))
     b = np.sort(points_as_complex(S))
-    if len(a) and len(b):
-        at = np.minimum(np.searchsorted(b, a), len(b) - 1)
-        if (b[at] == a).any():
-            raise ValueError("P and S must be disjoint")
+    if len(a) and len(b) and isin_sorted(a, b).any():
+        raise ValueError("P and S must be disjoint")
 
 
 def squared_norms(dx, dy):

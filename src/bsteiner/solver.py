@@ -127,6 +127,7 @@ def binary_search_threshold(ctx: SolverContext) -> int:
     cell_w, cell_s = yao.best_w[p, order], yao.best_s[p, order]
     best = len(thresholds) + 1
     near = np.full(len(order), np.inf)  # least path maximum from a walked root to each cell
+    cost = np.empty(yao.best_w.shape)  # every walk's (n, 6) costs, one buffer
     for i, (w, s) in enumerate(zip(cell_w.tolist(), cell_s.tolist())):
         beat = threshold_value(emst, best - 1)
         # an empty cell's inf length ends the loop before its index is read
@@ -136,7 +137,8 @@ def binary_search_threshold(ctx: SolverContext) -> int:
             continue
         b = tree_bottlenecks(emst, s)
         # an empty cell's inf length hides its clipped index, as in `cell_labels`
-        u = row_min(np.maximum(yao.best_w, b.take(yao.best_s, mode="clip"))).max()
+        b.take(yao.best_s, mode="clip", out=cost)
+        u = row_min(np.maximum(cost, yao.best_w, out=cost)).max()
         best = min(best, int(np.searchsorted(thresholds, u, side="right")) + 1)
         np.minimum(near, b.take(cell_s, mode="clip"), out=near)
     return best
@@ -163,11 +165,14 @@ def build_tree_for_component(ctx: SolverContext, labeling: ComponentLabeling, j:
     skel_w = ew[keep]
 
     yao = ctx.yao
-    w = np.where(yao.cell_labels(label, threshold) == j, yao.best_w, np.inf)
+    hit = yao.cell_labels(label, threshold) == j
+    w = np.where(hit, yao.best_w, np.inf)
     ext_w = row_min(w)
     if not np.isfinite(ext_w).all():
         raise ValueError("component not feasible at lambda")
-    ext = row_min(np.where(w == ext_w[:, None], yao.best_s, len(ctx.S)))
+    np.equal(w, ext_w[:, None], out=hit)
+    del w  # so that at most one (n, 6) table of numbers is alive at a time
+    ext = row_min(np.where(hit, yao.best_s, len(ctx.S)))
 
     b = float(max(np.max(skel_w, initial=0.0), ext_w.max()))
     return FullSteinerTree(ctx.P, ctx.S, comp, skeleton, ext, b)

@@ -9,10 +9,11 @@ and the graph is kept as its (n, 6) cone table, `YaoGraph`.
 Two constructions fill the same table: `yao_bruteforce` scans all
 candidate points per terminal, `yao_bipartite` accelerates the search with
 one k-d tree over the candidates in three steps.  A kNN round, with the
-terminals in Z-order and its neighbor lists reduced in fixed-size row
-blocks, settles most cells.  A caller that reads no cell at or above a
-squared length `limit`, other than each row's minimum, passes that limit,
-and the open cells no such read can reach stay unsettled: the solver
+terminals in Z-order, queried in chunks of rows so that its memory stays
+bounded, and its neighbor lists reduced in fixed-size row blocks, settles
+most cells.  A caller that reads no cell at or above a squared length
+`limit`, other than each row's minimum, passes that limit, and the open
+cells no such read can reach stay unsettled: the solver
 passes the largest edge of the candidates' spanning tree.  The round then
 fetches only the neighbors within a hair above sqrt(limit), and a second,
 small round fetches the two nearest candidates of each terminal left
@@ -75,9 +76,18 @@ _KNN_START = 32
 # leaves of 16 to 64 points (47-55 ms along a line of 2**13 points at 60
 # degrees, 0.22-0.23 s on a circle of 2**12), and 128 slows the circle by 9 %.
 _LEAF_SIZE = 64
-# Each round's neighbor lists are reduced in row blocks of about this many
+# Each kNN query fetches at most this many neighbors, 2**14 terminals at
+# k = 32, so a round holds two (rows, k) output arrays of 4 MiB each
+# instead of the whole round's: at 2**19 terminals one query returned
+# 256 MiB.  Rounds of up to 2**14 terminals stay one query.  Queries of
+# 4 096 rows slowed solves of 2**14 terminals by 8-9 % on a 2-core
+# machine: glibc's mmap and trim thresholds follow the largest array
+# freed, so each solve handed its freed heap back to the kernel and
+# faulted it in again.
+_QUERY = 1 << 19
+# Each query's neighbor lists are reduced in row blocks of about this many
 # neighbors, so the glue around the query holds a few (rows, k) arrays of
-# 2**15 entries instead of eight of the whole round's size: at 2**14
+# 2**15 entries instead of eight of the whole query's size: at 2**14
 # terminals that cut the peak traced memory of one call from 35.6 MB to
 # 10.5 MB.
 _BLOCK = 1 << 15
@@ -146,9 +156,12 @@ class YaoGraph:
         """(n, 6) label of each cell's candidate, -1 unless its edge is shorter than threshold.
 
         An empty cone's length is inf, never below a threshold, so its
-        out-of-range index may be clipped.
+        out-of-range index may be clipped.  Besides boolean masks, the
+        result is the only (n, 6) array the call allocates.
         """
-        return np.where(self.best_w < threshold, label.take(self.best_s, mode="clip"), -1)
+        cells = label.take(self.best_s, mode="clip")
+        np.putmask(cells, ~(self.best_w < threshold), -1)
+        return cells
 
 
 def row_min(table: np.ndarray) -> np.ndarray:
@@ -302,45 +315,47 @@ def _scatter_min(keys: np.ndarray, w: np.ndarray, s: np.ndarray, size: int, m: i
 
 
 def _knn_round(kdtree, P, rows, k, bound, Sx, Sy, best_w, best_s, done, radius) -> None:
-    """Fill the table rows of terminals `rows` from one k-nearest-neighbor query.
+    """Fill the table rows of terminals `rows` from k-nearest-neighbor queries.
 
-    The query fetches the k nearest candidates of each row that lie
-    within distance `bound`, and pads a row with fewer (index m, distance
-    inf).  Each cone takes its nearest fetched candidate, and a cell is
-    done once that candidate lies strictly inside the row's radius, the
-    k-th distance or `bound`, whichever is smaller: no unfetched candidate
-    lies nearer.  An unbounded query of every candidate settles every cell.
-    `radius` keeps that radius, the floor of every open cell's length.
-    The neighbor lists are reduced in row blocks of about `_BLOCK`
+    Each query fetches the k nearest candidates of a chunk of rows that
+    lie within distance `bound`, at most `_QUERY` neighbors in all, and
+    pads a row with fewer (index m, distance inf).  Each cone takes its
+    nearest fetched candidate, and a cell is done once that candidate lies
+    strictly inside the row's radius, the k-th distance or `bound`,
+    whichever is smaller: no unfetched candidate lies nearer.  An
+    unbounded query of every candidate settles every cell.  `radius`
+    keeps that radius, the floor of every open cell's length.  Each
+    query's neighbor lists are reduced in row blocks of about `_BLOCK`
     neighbors; each write goes through the terminal's own index.
     """
     m = len(Sx)
-    d, idx = kdtree.query(P[rows], k=k, distance_upper_bound=bound, workers=-1)
-    idx = np.atleast_1d(idx).reshape(len(rows), k)
-    radius[rows] = np.atleast_1d(d).reshape(len(rows), k)[:, -1]
-    del d
-    radius[rows] = np.minimum(radius[rows], bound)  # after d is freed: d and idx set the peak
     complete = k == m and bound == np.inf
-    step = max(1, _BLOCK // k)
-    for lo in range(0, len(rows), step):
-        block = rows[lo : lo + step]
-        b = len(block)
-        flat = idx[lo : lo + step].reshape(-1)
-        at = np.flatnonzero(flat < m)  # drop the padding
-        row, s = at // k, flat[at]
-        apex = P[block]
-        dx = Sx[s] - apex[row, 0]
-        dy = Sy[s] - apex[row, 1]
-        w = squared_norms(dx, dy)
-        w[w == 0] = np.inf  # a point on the apex lies in no cone
-        keys = row * NUM_CONES + cone_indices_from_deltas(dx, dy)
-        acc_w, acc_s = _scatter_min(keys, w, s, b * NUM_CONES, m)
-        acc_w = acc_w.reshape(b, NUM_CONES)
-        found = np.isfinite(acc_w)
-        best_w[block] = acc_w
-        best_s[block] = np.where(found, acc_s.reshape(b, NUM_CONES), m)
-        # strict: equal radii could hide an unseen tie with smaller index
-        done[block] = complete | (found & (np.sqrt(acc_w) < radius[block, None]))
+    chunk, step = max(1, _QUERY // k), max(1, _BLOCK // k)
+    for start in range(0, len(rows), chunk):
+        part = rows[start : start + chunk]
+        d, idx = kdtree.query(P[part], k=k, distance_upper_bound=bound, workers=-1)
+        idx = np.atleast_1d(idx).reshape(len(part), k)
+        radius[part] = np.minimum(np.atleast_1d(d).reshape(len(part), k)[:, -1], bound)
+        del d
+        for lo in range(0, len(part), step):
+            block = part[lo : lo + step]
+            b = len(block)
+            flat = idx[lo : lo + step].reshape(-1)
+            at = np.flatnonzero(flat < m)  # drop the padding
+            row, s = at // k, flat[at]
+            apex = P[block]
+            dx = Sx[s] - apex[row, 0]
+            dy = Sy[s] - apex[row, 1]
+            w = squared_norms(dx, dy)
+            w[w == 0] = np.inf  # a point on the apex lies in no cone
+            keys = row * NUM_CONES + cone_indices_from_deltas(dx, dy)
+            acc_w, acc_s = _scatter_min(keys, w, s, b * NUM_CONES, m)
+            acc_w = acc_w.reshape(b, NUM_CONES)
+            found = np.isfinite(acc_w)
+            best_w[block] = acc_w
+            best_s[block] = np.where(found, acc_s.reshape(b, NUM_CONES), m)
+            # strict: equal radii could hide an unseen tie with smaller index
+            done[block] = complete | (found & (np.sqrt(acc_w) < radius[block, None]))
 
 
 @dataclass(frozen=True)
@@ -527,16 +542,17 @@ def yao_bipartite(P, S, limit: float = np.inf) -> YaoGraph:
     every open cell is settled and the table is complete.
 
     The first round visits the terminals in Morton order (`_z_order`), so
-    consecutive queries walk nearby parts of the tree.  A round keeps
-    only the k-th distance of those the query returns, and reduces the
-    neighbor lists in row blocks of about `_BLOCK` neighbors.  Rows are
-    independent, every write goes through the terminal's own index, and
-    ties compare candidate indices, so neither the order nor the blocks
-    change the graph.
+    consecutive queries walk nearby parts of the tree.  A round queries
+    its rows in chunks of at most `_QUERY` neighbors, keeps only the k-th
+    distance of those each query returns, and reduces the neighbor lists
+    in row blocks of about `_BLOCK` neighbors, so its transient memory
+    does not grow with n.  Rows are independent, every write goes through
+    the terminal's own index, and ties compare candidate indices, so
+    neither the order, the chunks nor the blocks change the graph.
 
-    The module constants `_KNN_START`, `_LEAF_SIZE` and `_BLOCK`, and the
-    visit order, only trade speed and memory; any setting yields the same
-    graph.
+    The module constants `_KNN_START`, `_LEAF_SIZE`, `_QUERY` and
+    `_BLOCK`, and the visit order, only trade speed and memory; any
+    setting yields the same graph.
     """
     P = as_points(P, "P")
     S = as_points(S, "S")

@@ -540,7 +540,8 @@ def test_seam_radius_survives_extreme_magnitudes():
 def test_peak_memory_of_the_candidate_edges_stays_bounded():
     # A blob-shaped set of 2**15 points: half in a disc of radius 60, half
     # uniform over the square.  One Delaunay call over all of it peaked at
-    # about 15 MB of numpy memory; blocks of _DT_BLOCK points at about 7.
+    # about 15 MB of numpy memory; blocks of 2**13 points at about 8.5, and
+    # blocks of 2**12 (_DT_BLOCK) at about 5.5.
     rng = np.random.default_rng(2024)
     m = 2**15
     r = 60 * np.sqrt(rng.uniform(0, 1, m // 2))

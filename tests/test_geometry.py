@@ -13,7 +13,9 @@ from bsteiner.geometry import (
     as_points,
     check_disjoint,
     cone_indices_from_deltas,
+    isin_sorted,
     max_gap,
+    points_as_complex,
     squared_distances,
 )
 
@@ -237,6 +239,17 @@ def test_as_points_validation():
     for bad in (2.0**501, -(2.0**501), 2.0**-401, -(2.0**-401), 5e-324):
         with pytest.raises(ValueError, match=r"S\[1\]: coordinate magnitude"):
             as_points([[1.0, 1.0], [1.0, bad]], "S")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_isin_sorted_equals_isin(data):
+    # a small pool with signed zeros, so keys repeat and meet in both sets
+    pool = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, 1e300])
+    point = st.tuples(pool, pool)
+    a = points_as_complex(np.array(data.draw(st.lists(point, max_size=20)) or np.empty((0, 2))))
+    b = points_as_complex(np.array(data.draw(st.lists(point, min_size=1, max_size=20))))
+    assert np.array_equal(isin_sorted(a, np.sort(b)), np.isin(a, b))
 
 
 def test_check_disjoint():

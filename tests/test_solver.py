@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -419,6 +420,27 @@ def test_search_walks_only_the_binding_terminals_cells(monkeypatch):
         nearest = int(yao.best_s[p, np.argmin(yao.best_w[p])])
         lowered += ell < minimax_index(ctx, nearest)
     assert attached >= 10 and lowered >= 10
+
+
+def test_peak_memory_of_search_and_assembly_stays_bounded(monkeypatch):
+    # at n = m = 2**16 one (n, 6) table of numbers is 3 MiB.  The search
+    # reuses one buffer for its walks and assembly keeps one table alive at
+    # a time: together they peak near 6.4 MiB, the 1.8 MiB tree they return
+    # included.  Whole-table temporaries, two at a time, peaked at 9.1 MiB.
+    ctx = preprocess(*blob_shaped(np.random.default_rng(5), 2**16, 2**16))
+    table = ctx.yao.best_w.nbytes
+    walks = []
+    real = solver.tree_bottlenecks
+    monkeypatch.setattr(solver, "tree_bottlenecks", lambda emst, root: walks.append(root) or real(emst, root))
+    monkeypatch.setattr(solver, "preprocess", lambda P, S: ctx)
+    tracemalloc.start()
+    try:
+        report = solve(ctx.P, ctx.S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walks and report.threshold_index <= len(ctx.emst.thresholds)
+    assert peak < 2.5 * table
 
 
 def test_timings_present():

@@ -465,6 +465,27 @@ def test_query_plan_without_a_limit(monkeypatch):
     assert same_edges(g, yao_bruteforce(P, S))
 
 
+def test_query_plan_splits_a_round_into_chunks_of_rows(monkeypatch):
+    # with a budget of 8 rows per query at k = 32, the first round queries
+    # the 40 terminals in ceil(40 * 32 / budget) = 5 chunks, each row once
+    calls = record_queries(monkeypatch)
+    monkeypatch.setattr(yao, "_QUERY", 8 * yao._KNN_START)
+    rng = np.random.default_rng(333)
+    P, S = _ring(rng, 40, 1.05, 1.5), _ring(rng, 100, 0.0, 1.0)
+    limit = _mst_limit(S)
+    g = yao_bipartite(P, S, limit)
+    first, second = calls[:5], calls[5:]
+    assert {k for _, k, _ in first} == {yao._KNN_START}
+    assert len({bound for _, _, bound in first}) == 1 and np.isfinite(first[0][2])
+    assert [len(rows) for rows, _, _ in first] == [8] * 5
+    assert _same_rows(np.concatenate([rows for rows, _, _ in first]), P)
+    # the k = 2 round of the far terminals fits one query of 128 rows
+    far = squared_distances(P[:, None], S).min(axis=1) >= limit
+    assert len(second) == 1 and second[0][1:] == (2, np.inf)
+    assert _same_rows(second[0][0], P[far])
+    assert_exact_below(g, P, S, limit)
+
+
 @pytest.mark.parametrize("limit", [np.nan, -1.0, -np.inf])
 def test_limit_must_be_a_squared_length(limit):
     with pytest.raises(ValueError, match="limit"):
@@ -541,6 +562,19 @@ def test_blocks_and_visit_order_keep_the_graph(monkeypatch, block, order):
         assert same_edges(yao_bruteforce(P, S), yao_bipartite(P, S))
 
 
+@pytest.mark.parametrize("limited", [False, True], ids=["complete", "limited"])
+@pytest.mark.parametrize("query", [1, K - 1, K, K + 1, 7 * K + 5, 64 * K])
+def test_query_chunks_keep_the_graph(monkeypatch, query, limited):
+    """A round split into queries of a few rows, down to one, gives the same table."""
+    monkeypatch.setattr(yao, "_QUERY", query)
+    for P, S in BLOCK_FAMILIES.values():
+        if limited:
+            limit = _mst_limit(S)
+            assert_exact_below(yao_bipartite(P, S, limit), P, S, limit)
+        else:
+            assert same_edges(yao_bruteforce(P, S), yao_bipartite(P, S))
+
+
 @pytest.mark.parametrize(
     "P",
     [
@@ -582,6 +616,22 @@ def test_peak_memory_of_one_call_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+def test_peak_memory_of_a_round_stays_bounded_as_n_grows():
+    # the round queries at most _QUERY = 2**19 neighbors at a time, 2**14
+    # rows at k = 32: at n = m = 2**16 one query of every row would return
+    # 32 MiB of distances and indices alone; in chunks the call peaks near
+    # 23 MiB, the cone table and the k-d tree included
+    P, S = gen_random_instance(1 << 16, 1 << 16, 1000.0, seed=310)
+    yao_bipartite(P[:10], S[:10])
+    tracemalloc.start()
+    try:
+        yao_bipartite(P, S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * 2**20
 
 
 def _line(degrees):
