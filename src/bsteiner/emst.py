@@ -33,10 +33,15 @@ Qhull calls of one `euclidean_mst` are in flight, and the pair's partner
 has returned before its edges are read, before the seam call and before
 any fallback starts.
 
-Point sets where some call does not triangulate every point (collinear
-blocks, near-duplicates Qhull drops as coplanar) take the six-cone Yao
-graph instead, which also contains the EMST and has at most 6m edges.
-A dense Prim implementation serves as the independent reference.
+Qhull is not exact around near-duplicates, even those it keeps: it can
+join a point to the farther of two points 1e-12 apart.  So a set with
+two distinct points within `_NEAR` of its largest coordinate magnitude
+in both coordinates takes the six-cone Yao graph instead, which also
+contains the EMST and has at most 6m edges, and so does a set where
+some call does not triangulate every point (collinear blocks).  Clusters
+up to about 1e-6 of the magnitude apart still take the Delaunay path,
+and a few per cent of their trees are not minimal (`_NEAR`).  A dense
+Prim implementation serves as the independent reference.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from itertools import zip_longest
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
-from scipy.spatial import Delaunay, QhullError
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .geometry import as_points, points_as_complex, squared_distances
 from .yao import yao_bipartite
@@ -349,15 +354,48 @@ def _delaunay_keys(upts: np.ndarray, rep: np.ndarray, m: int) -> np.ndarray | No
     return _distinct(np.concatenate(parts))
 
 
+# Two distinct points within this fraction of the largest coordinate
+# magnitude, in both coordinates, send the set to the six-cone graph.  On
+# 200 uniform points in the unit square with 40 points moved next to 40
+# others, the Delaunay tree was wrong in 4 sets of 60 at offsets of 1e-12,
+# Qhull dropped a point of every set at 1e-13 and 1e-14, and offsets of
+# 1e-11 to 1e-7 gave the exact tree.  Clusters stay wrong farther out:
+# with 30 points and 30 more offset by 2**e to 2**(e + 1) of the
+# magnitude, 2 to 9 of 200 trees per e were wrong for e from -29 to -24
+# (none from -23 to -20), and points at one distance around a centre
+# went wrong up to e = -20.  A fraction of 1e-6 would send 8 of 240
+# instances of the benchmark's blob workload here, where one solve took
+# 410 ms against 221 ms, and raised a run's peak resident memory by 17 %.
+_NEAR = 1e-9
+
+
+def _has_near_pair(upts: np.ndarray) -> bool:
+    """Whether two points lie within `_NEAR` · max|coord| of each other in both coordinates.
+
+    upts holds distinct points sorted by (x, y).  Such a pair lies in one
+    run of points whose consecutive x gaps are all within that, so only
+    the points of runs of two or more are checked in 2-D.  Counting the
+    pairs of those points within that distance counts each point once
+    with itself and each near pair twice.
+    """
+    tol = _NEAR * np.abs(upts).max()
+    close = np.diff(upts[:, 0]) <= tol
+    pts = upts[np.r_[close, False] | np.r_[False, close]]
+    tree = cKDTree(pts)
+    return tree.count_neighbors(tree, tol, p=np.inf) > len(pts)
+
+
 def _candidate_edges(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Candidate (u, v) pairs guaranteed to contain the (w, u, v) spanning tree.
 
     Duplicate coordinates attach to their representative, the smallest
     original index at that coordinate, through zero-length edges.  The
-    distinct points U are joined by Delaunay edges when Qhull triangulates
-    every point it is given, and otherwise (fewer than three points,
-    collinear blocks, or a point Qhull reports as coplanar) by the
-    six-cone Yao graph of U, which contains the EMST (Yao 1982).
+    distinct points U are joined by the six-cone Yao graph of U, which
+    contains the EMST (Yao 1982), when two of them are near-duplicates
+    (`_has_near_pair`), around which Qhull is not exact.  Otherwise they
+    are joined by Delaunay edges when Qhull triangulates every point it
+    is given, and by the Yao graph when it does not (fewer than three
+    points, collinear blocks, or a point Qhull reports as coplanar).
 
     Every edge of a (w, u, v) spanning tree is a strict Gabriel edge: no
     other point lies in the closed disc on it as diameter, since such a
@@ -382,7 +420,7 @@ def _candidate_edges(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     zu, zv = rep_of[dup], dup
 
     upts = np.column_stack((uniq.real, uniq.imag))
-    keys = _delaunay_keys(upts, rep, m)
+    keys = None if _has_near_pair(upts) else _delaunay_keys(upts, rep, m)
     if keys is None:
         by_rep = np.argsort(rep)
         yao = yao_bipartite(upts[by_rep], upts[by_rep])

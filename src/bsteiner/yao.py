@@ -12,19 +12,18 @@ one k-d tree over the candidates in three steps.  A kNN round, with the
 terminals in Z-order, queried in chunks of rows so that its memory stays
 bounded, and its neighbor lists reduced in fixed-size row blocks, settles
 most cells.  A caller that reads no cell at or above a squared length
-`limit`, other than each row's minimum, passes that limit, and the open
-cells no such read can reach stay unsettled: the solver
-passes the largest edge of the candidates' spanning tree.  The round then
-fetches only the neighbors within a hair above sqrt(limit), and a second,
-small round fetches the two nearest candidates of each terminal left
-with no settled cell, mostly one with nothing that near.  When
-many cells stay open, a proof from one sort of the candidates per cone
-settles the open cones that hold no candidate.  One batched exact search
-of the same tree settles the rest: it cuts the tree's index order into
-leaves of one width, and walks their boxes level by level for all open
-cells at once, pruning by distance and by the cone's two half-planes,
-which it reads from the proof's table `_CONES`, and classifies the leaf
-points in NumPy.
+`limit`, other than each row's minimum, passes that limit (the solver
+passes the largest edge of the candidates' spanning tree).  The round then
+fetches only the neighbors within a hair above sqrt(limit), and retires,
+as empty, each open cell that no such read can reach.  A second, small
+round does the same with the two nearest candidates of each terminal
+that settled no cell.  When many cells stay open, a proof from one sort
+of the candidates per cone settles the open cones that hold no
+candidate.  One batched exact search of the same tree settles the rest:
+it cuts the tree's index order into leaves of one width, and walks their
+boxes level by level for all open cells at once, pruning by distance and
+by the cone's two half-planes, which it reads from the proof's table
+`_CONES`, and classifies the leaf points in NumPy.
 Both constructions measure every length with `geometry.squared_norms`
 and classify every cone with `geometry.cone_indices_from_deltas`, both
 applied to the deltas they already hold, so their tables are identical
@@ -314,19 +313,34 @@ def _scatter_min(keys: np.ndarray, w: np.ndarray, s: np.ndarray, size: int, m: i
     return acc_w, acc_s
 
 
-def _knn_round(kdtree, P, rows, k, bound, Sx, Sy, best_w, best_s, done, radius) -> None:
+def _knn_round(kdtree, P, rows, k, bound, limit, Sx, Sy, best_w, best_s, done, radius) -> None:
     """Fill the table rows of terminals `rows` from k-nearest-neighbor queries.
 
     Each query fetches the k nearest candidates of a chunk of rows that
     lie within distance `bound`, at most `_QUERY` neighbors in all, and
     pads a row with fewer (index m, distance inf).  Each cone takes its
-    nearest fetched candidate, and a cell is done once that candidate lies
-    strictly inside the row's radius, the k-th distance or `bound`,
-    whichever is smaller: no unfetched candidate lies nearer.  An
-    unbounded query of every candidate settles every cell.  `radius`
-    keeps that radius, the floor of every open cell's length.  Each
-    query's neighbor lists are reduced in row blocks of about `_BLOCK`
-    neighbors; each write goes through the terminal's own index.
+    nearest fetched candidate.  `radius` keeps the row's radius r, the
+    k-th distance or `bound`, whichever is smaller: no candidate left
+    unfetched lies nearer.  Each cell is then one of three kinds, and
+    `done` marks the first two:
+
+    - settled: its candidate lies strictly inside r (strict: equal radii
+      could hide an unseen tie with a smaller index).  An unbounded query
+      of every candidate settles every cell.
+    - retired, (inf, m): r² (1 - 2**-40) is at or above `limit` and above
+      the row's smallest settled cell.  cKDTree's distances and its cut
+      at `bound`, and the table's w, each carry a few ulps of rounding, so
+      that floor lies below the cell's w by thousands of ulps; where
+      r = `bound` = sqrt(limit) (1 + 2**-30), it clears the limit by about
+      2**-29 of it.  So the cell can neither be read below the limit nor
+      be, or tie with, its row's minimum.  A row that settles nothing
+      retires nothing.
+    - open: it keeps its seed, the nearest in-cone candidate fetched.
+
+    A caller that learns its limit only after the round passes inf and
+    filters the open cells by the same floor.  The neighbor lists are
+    reduced in row blocks of about `_BLOCK` neighbors; each write goes
+    through the terminal's own index.
     """
     m = len(Sx)
     complete = k == m and bound == np.inf
@@ -351,11 +365,15 @@ def _knn_round(kdtree, P, rows, k, bound, Sx, Sy, best_w, best_s, done, radius) 
             keys = row * NUM_CONES + cone_indices_from_deltas(dx, dy)
             acc_w, acc_s = _scatter_min(keys, w, s, b * NUM_CONES, m)
             acc_w = acc_w.reshape(b, NUM_CONES)
-            found = np.isfinite(acc_w)
+            r = radius[block]
+            settled = complete | (np.sqrt(acc_w) < r[:, None])
+            floor = r**2 * (1.0 - 2.0**-40)
+            unread = (floor >= limit) & (floor > row_min(np.where(settled, acc_w, np.inf)))
+            retire = ~settled & unread[:, None]
+            acc_w[retire] = np.inf
             best_w[block] = acc_w
-            best_s[block] = np.where(found, acc_s.reshape(b, NUM_CONES), m)
-            # strict: equal radii could hide an unseen tie with smaller index
-            done[block] = complete | (found & (np.sqrt(acc_w) < radius[block, None]))
+            best_s[block] = np.where(np.isfinite(acc_w), acc_s.reshape(b, NUM_CONES), m)
+            done[block] = settled | retire
 
 
 @dataclass(frozen=True)
@@ -511,25 +529,20 @@ def yao_bipartite(P, S, limit: float = np.inf) -> YaoGraph:
     """Accelerated construction, identical output to `yao_bruteforce` below `limit`.
 
     A batched k-nearest-neighbor round (`_knn_round`, k = `_KNN_START`)
-    answers most (terminal, cone) cells: a cone is settled once its best
-    in-cone candidate lies strictly inside the row's radius r.  An open
-    cell's length is at least r².  It is left unsettled, and reads as
-    empty, when r² is at or above `limit` and above the smallest cell its
-    row settled: then no read below `limit` and no row minimum can see it
-    (`YaoGraph.limit`).
+    settles most (terminal, cone) cells, and retires, as empty, every
+    open cell that no read below `limit` and no row minimum can see
+    (`YaoGraph.limit`); `_knn_round` states the rule.
 
     So the round fetches only what such a read can see.  Its query stops
     at b = sqrt(`limit`) (1 + 2**-30), and pads a row with fewer than k
     candidates within b; the padding is dropped before the cones are
-    classified.  r is the k-th distance or b, whichever is smaller, so
-    every candidate the round did not fetch lies at or beyond r, and a
-    row padded short has r² (1 - 2**-40) >= `limit`.  Its open cells stay
-    unsettled when the row settled a cell.  A row that settled none has
-    no minimum to skip against; mostly it holds nothing within b, so only
-    its nearest cell can be read.  A second, unbounded round fetches the
-    two nearest candidates of those rows, and their radius becomes the
-    second distance.  Only an unbounded round of all m candidates settles
-    every cell at once.  Without a limit, b is inf and one round runs.
+    classified.  The row's radius r is the k-th distance or b, whichever
+    is smaller, so a row padded short retires its open cells when it
+    settled one.  A row that settled none retires none; mostly it holds
+    nothing within b, so only its nearest cell can be read.  A second,
+    unbounded round fetches the two nearest candidates of those rows,
+    rewrites them whole, and their radius becomes the second distance.
+    Without a limit, b is inf and one round runs.
 
     When at least m / `_LEAF_SIZE` cells stay open, the open cones that
     provably hold no candidate are then settled all at once
@@ -569,32 +582,17 @@ def yao_bipartite(P, S, limit: float = np.inf) -> YaoGraph:
 
     kdtree = cKDTree(S, leafsize=_LEAF_SIZE)
     Sx, Sy = np.ascontiguousarray(S[:, 0]), np.ascontiguousarray(S[:, 1])
-    # a margin above the limit's root, so that the floor below clears the limit
+    # a margin above the limit's root, so that the round's floor clears the limit
     bound = math.sqrt(limit) * (1.0 + 2.0**-30)
-    _knn_round(kdtree, P, _z_order(P), min(_KNN_START, m), bound, Sx, Sy, best_w, best_s, done, radius)
+    _knn_round(kdtree, P, _z_order(P), min(_KNN_START, m), bound, limit, Sx, Sy, best_w, best_s, done, radius)
     if bound < np.inf:
-        # a row with no settled cell has no settled minimum to skip against:
-        # fetch its two nearest candidates, without the bound
+        # a row that settled no cell retired none: fetch its two nearest
+        # candidates, without the bound
         lone = np.flatnonzero(~row_any(done))
         if len(lone):
-            _knn_round(kdtree, P, lone, min(2, m), np.inf, Sx, Sy, best_w, best_s, done, radius)
+            _knn_round(kdtree, P, lone, min(2, m), np.inf, limit, Sx, Sy, best_w, best_s, done, radius)
 
     cells = np.argwhere(~done)
-    p = cells[:, 0]
-    # An open cell's candidates were either not fetched, so lie at or
-    # beyond the radius r = min(k-th distance, b), or fetched no nearer
-    # than r.  cKDTree's distances and its cut at b, and the table's w,
-    # each carry a few ulps of rounding, so r² (1 - 2**-40) is a floor on
-    # the cell's w with a margin of thousands of ulps.  Where r = b it is
-    # at or above the limit, as b² exceeds the limit by about 2**-29 of
-    # it.  A cell whose floor is at or above the limit and above its row's
-    # settled minimum can neither be read below the limit nor be, or tie
-    # with, its row's minimum: it stays unsettled.
-    floor = radius[p] ** 2 * (1.0 - 2.0**-40)
-    skip = (floor >= limit) & (floor > row_min(np.where(done[p], best_w[p], np.inf)))
-    unread = tuple(cells[skip].T)
-    best_w[unread], best_s[unread], done[unread] = np.inf, m, True
-    cells = cells[~skip]
     if len(cells) * _LEAF_SIZE >= m:
         # many open cones, which are often empty: the proof settles them
         # for six sorts of S, where the search would walk a leaf each

@@ -634,6 +634,32 @@ def test_peak_memory_of_a_round_stays_bounded_as_n_grows():
     assert peak < 28 * 2**20
 
 
+def test_peak_memory_with_the_limit_stays_bounded_on_a_hull():
+    # Terminals ring a disc of candidates, n = m = 2**16, with the largest
+    # tree edge as the limit: nearly every row settles one cell and retires
+    # the others as the round reduces its block, so the call peaks near
+    # 21 MiB.  Copying the row of each open cell after the round, as a
+    # separate pass, peaked at 48.5 MiB.
+    rng = np.random.default_rng(311)
+
+    def annulus(k, r0, r1):
+        r = np.sqrt(rng.uniform(r0 * r0, r1 * r1, k))
+        t = rng.uniform(0.0, 2.0 * np.pi, k)
+        return np.column_stack((r * np.cos(t), r * np.sin(t)))
+
+    S = annulus(1 << 16, 0.0, 1000.0)
+    P = annulus(1 << 16, 1010.0, 1200.0)
+    limit = euclidean_mst(S).thresholds[-1]
+    yao_bipartite(P[:10], S[:10])
+    tracemalloc.start()
+    try:
+        yao_bipartite(P, S, limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20
+
+
 def _line(degrees):
     a = np.radians(degrees)
     return [(t * np.cos(a), t * np.sin(a)) for t in range(-10, 11)]
