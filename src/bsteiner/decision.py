@@ -16,6 +16,7 @@ every other candidate at once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,13 +89,32 @@ def tree_bottlenecks(emst: EmstResult, root: int) -> np.ndarray:
 def candidate_components(ctx: SolverContext, labeling: ComponentLabeling) -> frozenset:
     """Components that every terminal can enter below the labeling threshold.
 
-    Seeds with the components reachable from row 0 of the cone table (at
-    most six, one per cone) and keeps those that some cell of every row
-    reaches.
+    Seeds with the components reachable from the binding terminal's row
+    (at most six, one per cone), the argmax of the row minima, and keeps
+    those that some cell of every row reaches.  A row that holds only its
+    nearest cell reaches that cell's component; when a seed still alive
+    is another one, the row is filled.  The rows are filled in batches
+    that double, in index order, and the loop stops once no seed is left.
     """
-    cells = ctx.yao.cell_labels(labeling.label, labeling.threshold)
-    seeds = np.unique(cells[0][cells[0] >= 0])
-    return frozenset(j for j in seeds.tolist() if row_any(cells == j).all())
+    yao, label, threshold = ctx.yao, labeling.label, labeling.threshold
+    p = yao.binding_row()
+    cells = yao.cell_labels(label, threshold)
+    seeds = np.unique(cells[p][cells[p] >= 0]).tolist()
+    miss = {j: ~row_any(cells == j) for j in seeds}
+    batch = 1
+    while True:
+        seeds = [j for j in seeds if not (miss[j] & yao.full).any()]
+        if not seeds:
+            return frozenset()
+        pending = np.flatnonzero(functools.reduce(np.logical_or, (miss[j] for j in seeds)))
+        if not len(pending):
+            return frozenset(seeds)
+        rows = pending[:batch]
+        yao.complete(rows)
+        cells = yao.cell_labels(label, threshold, rows)
+        for j in seeds:
+            miss[j][rows] = ~row_any(cells == j)
+        batch *= 2
 
 
 def compare_to_optimal(ctx: SolverContext, threshold: float) -> frozenset:

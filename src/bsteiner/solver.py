@@ -11,6 +11,14 @@ of the cheapest cell whose cost is the larger of its edge and the
 largest tree edge between its candidate and the root cell's candidate
 (Hu 1961).  Finding it takes at most six tree walks and no decision
 call.  All weights are squared lengths end to end.
+
+`solve` builds the six-cone graph with each terminal's nearest candidate
+only, and the search and the assembly fill a terminal's whole row when
+their answer depends on it.  A terminal whose nearest candidate already
+decides it, by a bound no larger than the largest value found or by
+entering the chosen component, is never filled.  `preprocess` fills
+every row, so decisions at any threshold read a whole table, and the
+same search and assembly then fill nothing.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from .decision import (
 )
 from .emst import euclidean_mst, sparse_graph
 from .geometry import as_points, check_disjoint, squared_distances
-from .yao import row_min, yao_bipartite
+from .yao import YaoGraph, row_any, row_min, yao_bipartite
 
 
 @dataclass(frozen=True)
@@ -73,7 +81,7 @@ def validate_instance(P, S) -> tuple[np.ndarray, np.ndarray]:
     return P, S
 
 
-def preprocess(P, S) -> SolverContext:
+def preprocess(P, S, rows=None) -> SolverContext:
     """Validate an instance and build the shared context for decision calls.
 
     The spanning tree comes first, and its largest edge M is the cone
@@ -82,11 +90,15 @@ def preprocess(P, S) -> SolverContext:
     is one component, and the decision and the assembly read only each
     row's minimum.  So every read is exact, although cells at or beyond M
     may read as empty.
+
+    `rows` goes to `yao_bipartite`: None fills every row of the table,
+    and `solve` passes no row, so that the search and the assembly fill
+    only the rows their answer reads.
     """
     P, S = validate_instance(P, S)
     emst = euclidean_mst(S)
     limit = emst.thresholds[-1] if len(emst.thresholds) else np.inf
-    return SolverContext(P, S, emst, yao_bipartite(P, S, limit))
+    return SolverContext(P, S, emst, yao_bipartite(P, S, limit, rows))
 
 
 def threshold_value(emst, index: int) -> float:
@@ -117,12 +129,13 @@ def binary_search_threshold(ctx: SolverContext) -> int:
     succeeds there exactly when that root does, and no walked root does,
     so it is skipped.  At most six tree walks are made, each O(m log m).
     When the attach bound max_p min_cone w(p, s) is at or above the
-    largest tree edge, none is made and the index is k + 1.
+    largest tree edge, none is made and the index is k + 1.  Each walk
+    fills the rows of the table that U_r depends on (`_root_bound`).
     """
     yao, emst = ctx.yao, ctx.emst
     thresholds = emst.thresholds
     # every row holds a finite cell: a terminal's nearest candidate lies in some cone
-    p = int(np.argmax(row_min(yao.best_w)))
+    p = yao.binding_row()
     order = np.argsort(yao.best_w[p], kind="stable")
     cell_w, cell_s = yao.best_w[p, order], yao.best_s[p, order]
     best = len(thresholds) + 1
@@ -136,12 +149,36 @@ def binary_search_threshold(ctx: SolverContext) -> int:
         if near[i] < beat:
             continue
         b = tree_bottlenecks(emst, s)
-        # an empty cell's inf length hides its clipped index, as in `cell_labels`
-        b.take(yao.best_s, mode="clip", out=cost)
-        u = row_min(np.maximum(cost, yao.best_w, out=cost)).max()
+        u = _root_bound(yao, b, cost)
         best = min(best, int(np.searchsorted(thresholds, u, side="right")) + 1)
         np.minimum(near, b.take(cell_s, mode="clip"), out=near)
     return best
+
+
+def _root_bound(yao: YaoGraph, b: np.ndarray, cost: np.ndarray) -> float:
+    """U_r = max over rows of min_cone max(w, b[s]), for the path maxima b of one root.
+
+    A full row reads its exact value.  A row that holds only its nearest
+    cell (w_min, s_min) reads its bound max(w_min, b[s_min]), which lies
+    between w_min and its value.  X, the largest value of the full rows,
+    is at least every w_min, since the binding row is full.  So once no
+    bound exceeds X, U_r = X.  The rows whose bound does are filled,
+    largest bound first, in batches that double, until none is left.
+    """
+    # an empty cell's inf length hides its clipped index, as in `cell_labels`
+    b.take(yao.best_s, mode="clip", out=cost)
+    bound = row_min(np.maximum(cost, yao.best_w, out=cost))
+    x = bound[yao.full].max()
+    batch = 1
+    while True:
+        over = np.flatnonzero(bound > x)
+        if not len(over):
+            return x
+        rows = over[np.argsort(-bound[over], kind="stable")[:batch]]
+        yao.complete(rows)
+        bound[rows] = row_min(np.maximum(b.take(yao.best_s[rows], mode="clip"), yao.best_w[rows]))
+        x = max(x, bound[rows].max())
+        batch *= 2
 
 
 def build_tree_for_component(ctx: SolverContext, labeling: ComponentLabeling, j: int) -> FullSteinerTree:
@@ -150,6 +187,8 @@ def build_tree_for_component(ctx: SolverContext, labeling: ComponentLabeling, j:
     The skeleton is every surviving spanning-tree edge inside the
     component; each terminal takes the shortest qualifying cell of its
     row of the cone table (ties on length broken by candidate index).
+    A row that is not full and whose nearest cell does not qualify is
+    filled first.
     """
     if not 0 <= j < labeling.component_count:
         raise ValueError("component not feasible at lambda")
@@ -166,6 +205,11 @@ def build_tree_for_component(ctx: SolverContext, labeling: ComponentLabeling, j:
 
     yao = ctx.yao
     hit = yao.cell_labels(label, threshold) == j
+    # a row that holds only its nearest cell answers with it when that cell enters j
+    rows = np.flatnonzero(~(row_any(hit) | yao.full))
+    if len(rows):
+        yao.complete(rows)
+        hit[rows] = yao.cell_labels(label, threshold, rows) == j
     w = np.where(hit, yao.best_w, np.inf)
     ext_w = row_min(w)
     if not np.isfinite(ext_w).all():
@@ -200,7 +244,7 @@ def solve(P, S) -> SolveReport:
     deterministic for identical inputs (timings aside).
     """
     t0 = time.perf_counter_ns()
-    ctx = preprocess(P, S)
+    ctx = preprocess(P, S, rows=())
     t1 = time.perf_counter_ns()
     ell = binary_search_threshold(ctx)
     lam = threshold_value(ctx.emst, ell)

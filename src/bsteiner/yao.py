@@ -30,6 +30,14 @@ applied to the deltas they already hold, so their tables are identical
 bit for bit, and with a limit, identical in every cell below it and in
 each row's minimum.
 
+A caller that reads few whole rows, as the solver does, names the rows
+it needs now (`rows`, none for the solver).  Every other row takes one
+unbounded round with k = 2 instead, which gives it its exact minimum and,
+where the second-nearest candidate lies beyond the limit, its whole row.
+The graph keeps the k-d tree and its leaf boxes, and
+`YaoGraph.complete` fills any other row later through the same steps,
+so that a row reads the same whenever it is filled.
+
 The search is what degenerate sets exercise.  On a 2-core machine
 `yao_bipartite(S, S)` takes about 0.22 s on 2**12 points of a circle, and
 it grows 3-3.5x per doubling there (0.71 s at 2**13, 2.4 s at 2**14),
@@ -49,7 +57,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -92,7 +100,7 @@ _QUERY = 1 << 19
 _BLOCK = 1 << 15
 
 
-@dataclass(frozen=True)
+@dataclass
 class YaoGraph:
     """The graph as its (n, 6) cone table, one row per terminal.
 
@@ -102,18 +110,50 @@ class YaoGraph:
     and `w` list the non-empty cells in row-major order, that is sorted
     by (terminal, cone).
 
-    `limit` is the squared length up to which the table is exact.  Every
-    cell shorter than it, and every row's minimum, equals the cell of the
-    complete graph, ties included.  A cell at or above it may read as
-    empty, (inf, `candidate_count`), although its cone holds a
-    candidate; its true length is then at least `limit` and larger than
-    its row's minimum.  inf marks a complete table.
+    `full` marks the rows that hold their whole cone table.  Every row's
+    minimum equals the cell of the complete graph, ties included.  A row
+    that is not full holds that cell alone, and `complete` fills it.
+
+    `limit` is the squared length up to which the full rows are exact.
+    Every cell of a full row shorter than it equals the cell of the
+    complete graph.  A cell at or above it may read as empty, (inf,
+    `candidate_count`), although its cone holds a candidate; its true
+    length is then at least `limit` and larger than its row's minimum.
+    inf marks a complete table.
     """
 
     candidate_count: int
     best_w: np.ndarray
     best_s: np.ndarray
     limit: float = np.inf
+    full: np.ndarray | None = None  # None: every row
+    _filler: _Filler | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.full is None:
+            self.full = np.ones(len(self.best_s), dtype=bool)
+
+    def complete(self, rows) -> None:
+        """Fill the named rows whole; rows that are full already stay as they are.
+
+        Each row then holds, cell for cell, what `yao_bipartite` without
+        `rows` gives it: it runs the same rounds, proof and search, and
+        rows do not depend on each other.  Once every row is full the
+        graph lets go of its k-d tree.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        rows = rows[~self.full[rows]]
+        if len(rows):
+            self._filler.fill(self, rows)
+            self.full[rows] = True
+            if self.full.all():
+                self._filler = None
+
+    def binding_row(self) -> int:
+        """The row with the largest minimum, the first on ties, filled whole."""
+        p = int(np.argmax(row_min(self.best_w)))
+        self.complete([p])
+        return p
 
     @property
     def terminal_count(self) -> int:
@@ -151,15 +191,16 @@ class YaoGraph:
         c = np.flatnonzero(self._filled[p])
         return list(zip(self.best_s[p, c].tolist(), c.tolist(), self.best_w[p, c].tolist()))
 
-    def cell_labels(self, label: np.ndarray, threshold: float) -> np.ndarray:
+    def cell_labels(self, label: np.ndarray, threshold: float, rows=slice(None)) -> np.ndarray:
         """(n, 6) label of each cell's candidate, -1 unless its edge is shorter than threshold.
 
         An empty cone's length is inf, never below a threshold, so its
         out-of-range index may be clipped.  Besides boolean masks, the
-        result is the only (n, 6) array the call allocates.
+        result is the only (n, 6) array the call allocates.  `rows` picks
+        the rows to label, every row by default.
         """
-        cells = label.take(self.best_s, mode="clip")
-        np.putmask(cells, ~(self.best_w < threshold), -1)
+        cells = label.take(self.best_s[rows], mode="clip")
+        np.putmask(cells, ~(self.best_w[rows] < threshold), -1)
         return cells
 
 
@@ -339,12 +380,13 @@ def _knn_round(kdtree, P, rows, k, bound, limit, Sx, Sy, best_w, best_s, done, r
 
     A caller that learns its limit only after the round passes inf and
     filters the open cells by the same floor.  The neighbor lists are
-    reduced in row blocks of about `_BLOCK` neighbors; each write goes
-    through the terminal's own index.
+    reduced in row blocks of about `_BLOCK` neighbors, and at most
+    `_BLOCK` cells at small k; each write goes through the terminal's own
+    index.
     """
     m = len(Sx)
     complete = k == m and bound == np.inf
-    chunk, step = max(1, _QUERY // k), max(1, _BLOCK // k)
+    chunk, step = max(1, _QUERY // k), max(1, _BLOCK // max(k, NUM_CONES))
     for start in range(0, len(rows), chunk):
         part = rows[start : start + chunk]
         d, idx = kdtree.query(P[part], k=k, distance_upper_bound=bound, workers=-1)
@@ -482,7 +524,7 @@ def _walk(boxes: _Boxes, test: np.ndarray, cone: np.ndarray, r2: np.ndarray, see
     return best_w, best_s, beyond
 
 
-def _cone_search(kdtree, P, S, cells, radius, best_w, best_s) -> None:
+def _cone_search(boxes: _Boxes, P, S, cells, radius, best_w, best_s) -> None:
     """Settle every open (terminal, cone) cell exactly, writing into best_w and best_s.
 
     A cell the kNN round seeded holds an in-cone candidate, so its answer
@@ -494,7 +536,6 @@ def _cone_search(kdtree, P, S, cells, radius, best_w, best_s) -> None:
     `_BLOCK >> 7`, so the frontier stays bounded.
     """
     m = len(S)
-    boxes = _boxes(kdtree, S)
     p, c = cells[:, 0], cells[:, 1]
     apex = P[p]
     seed = best_w[p, c]
@@ -525,13 +566,67 @@ def _cone_search(kdtree, P, S, cells, radius, best_w, best_s) -> None:
         r2[todo] = np.minimum(np.maximum(4.0 * r2[todo], beyond), cover[todo])
 
 
-def yao_bipartite(P, S, limit: float = np.inf) -> YaoGraph:
+def _open_cells(done: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(terminal, cone) pairs of the cells of `rows` that `done` leaves open, sorted."""
+    rows = np.sort(rows)
+    cells = np.argwhere(~done[rows])
+    cells[:, 0] = rows[cells[:, 0]]
+    return cells
+
+
+class _Filler:
+    """What `YaoGraph.complete` reads: both point sets, the k-d tree over the
+    candidates and, once a search has needed them, its leaf boxes."""
+
+    def __init__(self, P: np.ndarray, S: np.ndarray):
+        self.P, self.S = P, S
+        self.kdtree = cKDTree(S, leafsize=_LEAF_SIZE)
+        self.Sx, self.Sy = S[:, 0], S[:, 1]  # views: gathers from them cost what copies cost
+
+    @functools.cached_property
+    def boxes(self) -> _Boxes:
+        return _boxes(self.kdtree, self.S)
+
+    def fill(self, graph: YaoGraph, rows: np.ndarray) -> None:
+        """Write the whole rows `rows` of the graph's table, visited in the given order."""
+        P, S, kdtree = self.P, self.S, self.kdtree
+        n, m = len(P), len(S)
+        limit, best_w, best_s = graph.limit, graph.best_w, graph.best_s
+        # only the entries of `rows` are written and read
+        done = np.empty((n, NUM_CONES), dtype=bool)
+        radius = np.empty(n)
+        # a margin above the limit's root, so that the round's floor clears the limit
+        bound = math.sqrt(limit) * (1.0 + 2.0**-30)
+        _knn_round(kdtree, P, rows, min(_KNN_START, m), bound, limit, self.Sx, self.Sy, best_w, best_s, done, radius)
+        if bound < np.inf:
+            # a row that settled no cell retired none: fetch its two nearest
+            # candidates, without the bound
+            lone = rows[~row_any(done[rows])]
+            if len(lone):
+                _knn_round(kdtree, P, lone, min(2, m), np.inf, limit, self.Sx, self.Sy, best_w, best_s, done, radius)
+
+        cells = _open_cells(done, rows)
+        if len(cells) * _LEAF_SIZE >= m:
+            # many open cones, which are often empty: the proof settles them
+            # for six sorts of S, where the search would walk a leaf each
+            active = np.unique(cells[:, 0])
+            done[active] |= _empty_cones(P[active], S)
+            cells = _open_cells(done, rows)
+        if len(cells):
+            _cone_search(self.boxes, P, S, cells, radius, best_w, best_s)
+
+
+def yao_bipartite(P, S, limit: float = np.inf, rows=None) -> YaoGraph:
     """Accelerated construction, identical output to `yao_bruteforce` below `limit`.
 
-    A batched k-nearest-neighbor round (`_knn_round`, k = `_KNN_START`)
-    settles most (terminal, cone) cells, and retires, as empty, every
-    open cell that no read below `limit` and no row minimum can see
-    (`YaoGraph.limit`); `_knn_round` states the rule.
+    `rows` names the terminals whose rows are filled whole now; None, the
+    default, fills every row.  Every other row gets its nearest candidate
+    only, and `YaoGraph.complete` fills it when a caller needs it.
+
+    A row is filled by a batched k-nearest-neighbor round (`_knn_round`,
+    k = `_KNN_START`), which settles most (terminal, cone) cells and
+    retires, as empty, every open cell that no read below `limit` and no
+    row minimum can see (`YaoGraph.limit`); `_knn_round` states the rule.
 
     So the round fetches only what such a read can see.  Its query stops
     at b = sqrt(`limit`) (1 + 2**-30), and pads a row with fewer than k
@@ -552,16 +647,25 @@ def yao_bipartite(P, S, limit: float = np.inf) -> YaoGraph:
     search of the same k-d tree (`_cone_search`): a level-by-level walk of
     the leaf boxes that prunes by distance and by the two half-planes of
     the cone, and classifies the leaf points in NumPy.  Without a limit
-    every open cell is settled and the table is complete.
+    every open cell is settled and the row is complete.
 
-    The first round visits the terminals in Morton order (`_z_order`), so
+    The rows not named take one unbounded round with k = 2 instead.  A
+    row's nearest candidate is settled when it lies strictly nearer than
+    the second, and it is then the row's exact minimum.  Where the floor
+    of the second distance clears the limit, the round retires the other
+    cells, and the row is full at once.  Every other row keeps its
+    nearest cell alone, and a row whose two nearest candidates tie is
+    filled whole at once.
+
+    The rounds visit the terminals in Morton order (`_z_order`), so
     consecutive queries walk nearby parts of the tree.  A round queries
     its rows in chunks of at most `_QUERY` neighbors, keeps only the k-th
     distance of those each query returns, and reduces the neighbor lists
     in row blocks of about `_BLOCK` neighbors, so its transient memory
     does not grow with n.  Rows are independent, every write goes through
     the terminal's own index, and ties compare candidate indices, so
-    neither the order, the chunks nor the blocks change the graph.
+    neither the order, the chunks, the blocks nor the time a row is
+    filled change the graph.
 
     The module constants `_KNN_START`, `_LEAF_SIZE`, `_QUERY` and
     `_BLOCK`, and the visit order, only trade speed and memory; any
@@ -577,29 +681,24 @@ def yao_bipartite(P, S, limit: float = np.inf) -> YaoGraph:
     best_s = np.full((n, NUM_CONES), m, dtype=np.int64)
     if not (n and m):
         return YaoGraph(m, best_w, best_s, limit)
-    done = np.empty((n, NUM_CONES), dtype=bool)
-    radius = np.empty(n)
+    f = _Filler(P, S)
+    graph = YaoGraph(m, best_w, best_s, limit, np.zeros(n, dtype=bool), f)
+    order = _z_order(P)
+    if rows is None:
+        graph.complete(order)
+        return graph
 
-    kdtree = cKDTree(S, leafsize=_LEAF_SIZE)
-    Sx, Sy = np.ascontiguousarray(S[:, 0]), np.ascontiguousarray(S[:, 1])
-    # a margin above the limit's root, so that the round's floor clears the limit
-    bound = math.sqrt(limit) * (1.0 + 2.0**-30)
-    _knn_round(kdtree, P, _z_order(P), min(_KNN_START, m), bound, limit, Sx, Sy, best_w, best_s, done, radius)
-    if bound < np.inf:
-        # a row that settled no cell retired none: fetch its two nearest
-        # candidates, without the bound
-        lone = np.flatnonzero(~row_any(done))
-        if len(lone):
-            _knn_round(kdtree, P, lone, min(2, m), np.inf, limit, Sx, Sy, best_w, best_s, done, radius)
-
-    cells = np.argwhere(~done)
-    if len(cells) * _LEAF_SIZE >= m:
-        # many open cones, which are often empty: the proof settles them
-        # for six sorts of S, where the search would walk a leaf each
-        active = np.unique(cells[:, 0])
-        done[active] |= _empty_cones(P[active], S)
-        cells = np.argwhere(~done)
-    if len(cells):
-        _cone_search(kdtree, P, S, cells, radius, best_w, best_s)
-
-    return YaoGraph(m, best_w, best_s, limit)
+    rows = np.asarray(rows, dtype=np.intp)
+    rest = order[~np.isin(order, rows)]
+    done = np.ones((n, NUM_CONES), dtype=bool)
+    _knn_round(f.kdtree, P, rest, min(2, m), np.inf, limit, f.Sx, f.Sy, best_w, best_s, done, np.empty(n))
+    # a row keeps only its settled nearest cell unless the round settled or
+    # retired every cell; one that settled none, whose two nearest
+    # candidates tie, is filled now
+    unread = ~done
+    np.putmask(best_w, unread, np.inf)
+    np.putmask(best_s, unread, m)
+    graph.full[:] = ~row_any(unread)
+    graph.full[rows] = False
+    graph.complete(np.r_[rows, np.flatnonzero(~row_any(done))])
+    return graph

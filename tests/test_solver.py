@@ -4,10 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bsteiner import solver
+from bsteiner import solver, yao
 from bsteiner.decision import (
     SolverContext,
+    candidate_components,
     compare_to_optimal,
     forest_components,
     tree_bottlenecks,
@@ -30,7 +33,7 @@ from bsteiner.solver import (
     threshold_value,
     validate_full_steiner_tree,
 )
-from bsteiner.yao import yao_bruteforce
+from bsteiner.yao import yao_bipartite, yao_bruteforce
 
 COLLINEAR_S = [(0, 0), (1, 0), (2, 0)]
 COLLINEAR_P = [(-1, 0), (3, 0)]
@@ -426,13 +429,14 @@ def test_peak_memory_of_search_and_assembly_stays_bounded(monkeypatch):
     # at n = m = 2**16 one (n, 6) table of numbers is 3 MiB.  The search
     # reuses one buffer for its walks and assembly keeps one table alive at
     # a time: together they peak near 6.4 MiB, the 1.8 MiB tree they return
-    # included.  Whole-table temporaries, two at a time, peaked at 9.1 MiB.
-    ctx = preprocess(*blob_shaped(np.random.default_rng(5), 2**16, 2**16))
+    # and the rows they fill included.  Whole-table temporaries, two at a
+    # time, peaked at 9.1 MiB.
+    ctx = preprocess(*blob_shaped(np.random.default_rng(5), 2**16, 2**16), rows=())
     table = ctx.yao.best_w.nbytes
     walks = []
     real = solver.tree_bottlenecks
     monkeypatch.setattr(solver, "tree_bottlenecks", lambda emst, root: walks.append(root) or real(emst, root))
-    monkeypatch.setattr(solver, "preprocess", lambda P, S: ctx)
+    monkeypatch.setattr(solver, "preprocess", lambda P, S, rows=None: ctx)
     tracemalloc.start()
     try:
         report = solve(ctx.P, ctx.S)
@@ -572,3 +576,122 @@ def test_truncated_table_answers_like_the_complete_one():
         if family == 1:
             assert solve(P, S).lambda_star == brute_force_optimum(P, S)[0]
     assert unsettled > 0
+
+
+def complete_table_pipeline(P, S):
+    """The answer through the complete cone table: (tree, index, component, candidate count)."""
+    ctx = preprocess(P, S)
+    ell = binary_search_threshold(ctx)
+    lab = forest_components(ctx.emst, threshold_value(ctx.emst, ell))
+    J = candidate_components(ctx, lab)
+    tree, j = min(
+        ((build_tree_for_component(ctx, lab, j), j) for j in sorted(J)),
+        key=lambda tj: tj[0].bottleneck,
+    )
+    return tree, ell, j, len(J)
+
+
+def lazy_table_instance(rng, family, n, m):
+    """An instance of one of six families (0-5), terminals off the candidates."""
+    if family == 0:
+        # tiny random sets
+        P, S = rng.uniform(0.0, 10.0, (n, 2)), rng.uniform(0.0, 10.0, (m, 2))
+    elif family == 1:
+        # an integer lattice with duplicate candidates
+        S = rng.integers(0, 6, (m, 2)).astype(float)
+        P = rng.integers(-2, 8, (n, 2)).astype(float)
+    elif family == 2:
+        # half-integer terminals over a whole lattice: the nearest candidates
+        # of every terminal tie, so every row it reads is filled
+        a, b = rng.integers(2, 9, 2)
+        S = np.argwhere(np.ones((a, b))).astype(float)
+        S = S[rng.integers(0, len(S), max(m, len(S)))] if m > len(S) else S
+        P = np.column_stack((rng.integers(0, a - 1, n), rng.integers(0, b - 1, n))) + 0.5
+    elif family == 3:
+        # one line through the origin, with integer steps for the candidates
+        # and half-integer steps for the terminals
+        d = rng.integers(-3, 4, 2)
+        d = d if d.any() else np.array([1, 0])
+        S = rng.integers(-20, 21, m)[:, None] * d.astype(float)
+        P = (rng.integers(-20, 21, n) + 0.5)[:, None] * d
+    elif family == 4:
+        # clusters of both sets around a few centres
+        c = rng.uniform(0.0, 100.0, (int(rng.integers(1, 5)), 2))
+        S = c[rng.integers(0, len(c), m)] + rng.normal(0.0, 1.0, (m, 2))
+        P = c[rng.integers(0, len(c), n)] + rng.normal(0.0, 1.0, (n, 2))
+    else:
+        # terminals ring a disc of candidates
+        r, t = np.sqrt(rng.uniform(0.0, 1.0, m)), rng.uniform(0.0, 2.0 * np.pi, m)
+        S = np.column_stack((r * np.cos(t), r * np.sin(t)))
+        t = rng.uniform(0.0, 2.0 * np.pi, n)
+        P = rng.uniform(1.05, 1.3, n)[:, None] * np.column_stack((np.cos(t), np.sin(t)))
+    return P[~(P[:, None] == S).all(axis=2).any(axis=1)], S
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 5), st.integers(0, 2**32 - 1), st.booleans())
+def test_solve_equals_the_complete_table_pipeline(family, seed, small):
+    # solve fills only the rows of the cone table that its answer reads;
+    # the answer must not tell
+    rng = np.random.default_rng(seed)
+    top = 8 if small else 100
+    P, S = lazy_table_instance(rng, family, int(rng.integers(1, top + 1)), int(rng.integers(1, top + 1)))
+    if len(P) == 0:
+        return
+    r = solve(P, S)
+    tree, ell, j, count = complete_table_pipeline(P, S)
+    assert (r.lambda_star, r.threshold_index, r.chosen_component, r.candidate_count) == (
+        tree.bottleneck, ell, j, count,
+    )
+    for name in ("component_vertices", "skeleton_edges", "external_edges"):
+        assert np.array_equal(getattr(r.tree, name), getattr(tree, name))
+    validate_full_steiner_tree(r.tree)
+    if small:
+        assert r.lambda_star == brute_force_optimum(P, S)[0]
+
+
+def count_filled_rows(monkeypatch):
+    """Row counts of every fill of a cone table, appended as they happen."""
+    filled = []
+    fill = yao._Filler.fill
+
+    def counted(self, graph, rows):
+        filled.append(len(rows))
+        return fill(self, graph, rows)
+
+    monkeypatch.setattr(yao._Filler, "fill", counted)
+    return filled
+
+
+def test_solve_fills_few_rows(monkeypatch):
+    filled = count_filled_rows(monkeypatch)
+    # on 2**12 uniform terminals and candidates a few rows decide the
+    # answer: 0-8 on seeds 0-7; the eager table filled all 4 096
+    solve(*gen_random_instance(1 << 12, 1 << 12, 1000.0, seed=7))
+    assert sum(filled) <= 64
+    # terminals ringing a disc of candidates: the second-nearest candidate
+    # of every terminal lies beyond the tree's largest edge, so the nearest
+    # one settles the row
+    rng = np.random.default_rng(24)
+    r, t = 1000.0 * np.sqrt(rng.uniform(0.0, 1.0, 1 << 12)), rng.uniform(0.0, 2.0 * np.pi, 1 << 12)
+    S = np.column_stack((r * np.cos(t), r * np.sin(t)))
+    r, t = rng.uniform(1010.0, 1200.0, 1 << 11), rng.uniform(0.0, 2.0 * np.pi, 1 << 11)
+    del filled[:]
+    solve(np.column_stack((r * np.cos(t), r * np.sin(t))), S)
+    assert filled == []
+
+
+def test_peak_memory_of_the_solves_cone_table_stays_bounded():
+    # at n = m = 2**14 the solve's table takes one k = 2 round: it peaks
+    # near 4.6 MiB, the table and the k-d tree included; filling every row
+    # with the k = 32 round peaks near 10.6 MiB
+    P, S = gen_random_instance(1 << 14, 1 << 14, 1000.0, seed=312)
+    limit = euclidean_mst(S).thresholds[-1]
+    yao_bipartite(P[:10], S[:10], limit, rows=())
+    tracemalloc.start()
+    try:
+        yao_bipartite(P, S, limit, rows=())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20

@@ -390,6 +390,46 @@ def _mst_limit(S):
     return thresholds[-1] if len(thresholds) else np.inf
 
 
+def test_lazy_rows_hold_their_minimum_and_fill_like_the_complete_call():
+    # rows not named get one k = 2 round: each holds its exact minimum, and
+    # is full when the rest of it lies beyond the limit; filling a row
+    # later gives it what the complete call gives it
+    rng = np.random.default_rng(333)
+    lazy = 0
+    for trial in range(60):
+        n, m = (int(x) for x in rng.integers(1, 150, 2))
+        if trial % 3 == 0:
+            # candidates on a lattice, some twice, terminals at half-integer
+            # points: the two nearest candidates of most terminals tie
+            S = rng.integers(0, 12, (m, 2)).astype(float)
+            P = rng.integers(0, 12, (n, 2)) + 0.5
+        else:
+            P, S = rng.uniform(0.0, 10.0, (n, 2)), rng.uniform(0.0, 10.0, (m, 2))
+        limit = _mst_limit(S)
+        named = rng.choice(n, int(rng.integers(0, 4)), replace=False)
+        g = yao_bipartite(P, S, limit, rows=named)
+        ref, bf = yao_bipartite(P, S, limit), yao_bruteforce(P, S)
+        assert g.limit == limit and g.full[named].all()
+        same = (g.best_w == bf.best_w) & (g.best_s == bf.best_s)
+        empty = (g.best_w == np.inf) & (g.best_s == len(S))
+        at_min = bf.best_w == row_min(bf.best_w)[:, None]
+        exact = np.where(g.full[:, None], (bf.best_w < limit) | at_min, at_min)
+        assert same[exact].all() and (same | empty).all()
+
+        rows = np.flatnonzero(~g.full)
+        lazy += len(rows)
+        if trial % 3 == 0:
+            # ties are filled at once
+            tie = np.count_nonzero(at_min, axis=1) > 1
+            assert g.full[tie].all()
+        g.complete(np.r_[named, rows[::-1]])
+        assert g.full.all() and g._filler is None
+        filled = np.r_[named, rows]
+        assert np.array_equal(g.best_w[filled], ref.best_w[filled])
+        assert np.array_equal(g.best_s[filled], ref.best_s[filled])
+    assert lazy > 1000
+
+
 def test_bounded_round_with_every_candidate_fetchable():
     # m <= 32, so k == m, but the bounded query still leaves out the
     # candidates beyond the limit: no row may count as complete
