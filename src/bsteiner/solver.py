@@ -12,13 +12,13 @@ largest tree edge between its candidate and the root cell's candidate
 (Hu 1961).  Finding it takes at most six tree walks and no decision
 call.  All weights are squared lengths end to end.
 
-`solve` builds the six-cone graph with each terminal's nearest candidate
-only, and the search and the assembly fill a terminal's whole row when
-their answer depends on it.  A terminal whose nearest candidate already
-decides it, by a bound no larger than the largest value found or by
-entering the chosen component, is never filled.  `preprocess` fills
-every row, so decisions at any threshold read a whole table, and the
-same search and assembly then fill nothing.
+`preprocess` builds the six-cone graph with each terminal's nearest
+candidate only, and every reader of the table, the search, a decision
+and the assembly, fills a terminal's whole row when its answer depends
+on it.  A terminal whose nearest candidate already decides it, by a
+bound no larger than the largest value found or by entering each
+component in question, is never filled.  `solve`, `compare_to_optimal`
+and `bsteiner decide` all read that one table.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def validate_instance(P, S) -> tuple[np.ndarray, np.ndarray]:
     return P, S
 
 
-def preprocess(P, S, rows=None) -> SolverContext:
+def preprocess(P, S) -> SolverContext:
     """Validate an instance and build the shared context for decision calls.
 
     The spanning tree comes first, and its largest edge M is the cone
@@ -89,16 +89,13 @@ def preprocess(P, S, rows=None) -> SolverContext:
     threshold up to M reads only cells shorter than it.  Above M the tree
     is one component, and the decision and the assembly read only each
     row's minimum.  So every read is exact, although cells at or beyond M
-    may read as empty.
-
-    `rows` goes to `yao_bipartite`: None fills every row of the table,
-    and `solve` passes no row, so that the search and the assembly fill
-    only the rows their answer reads.
+    may read as empty.  The table holds each row's nearest cell, and the
+    readers fill the rows they need (`YaoGraph.complete`).
     """
     P, S = validate_instance(P, S)
     emst = euclidean_mst(S)
     limit = emst.thresholds[-1] if len(emst.thresholds) else np.inf
-    return SolverContext(P, S, emst, yao_bipartite(P, S, limit, rows))
+    return SolverContext(P, S, emst, yao_bipartite(P, S, limit))
 
 
 def threshold_value(emst, index: int) -> float:
@@ -159,11 +156,12 @@ def _root_bound(yao: YaoGraph, b: np.ndarray, cost: np.ndarray) -> float:
     """U_r = max over rows of min_cone max(w, b[s]), for the path maxima b of one root.
 
     A full row reads its exact value.  A row that holds only its nearest
-    cell (w_min, s_min) reads its bound max(w_min, b[s_min]), which lies
-    between w_min and its value.  X, the largest value of the full rows,
-    is at least every w_min, since the binding row is full.  So once no
-    bound exceeds X, U_r = X.  The rows whose bound does are filled,
-    largest bound first, in batches that double, until none is left.
+    cell (w_min, s_min) reads its bound max(w_min, b[s_min]), and its
+    value, min_cone max(w, b[s]), lies between w_min and that bound.  X,
+    the largest value of the full rows, is at least every w_min, since
+    the binding row is full.  So once no bound exceeds X, no value does
+    either, and U_r = X.  The rows whose bound does are filled, largest
+    bound first, in batches that double, until none is left.
     """
     # an empty cell's inf length hides its clipped index, as in `cell_labels`
     b.take(yao.best_s, mode="clip", out=cost)
@@ -244,7 +242,7 @@ def solve(P, S) -> SolveReport:
     deterministic for identical inputs (timings aside).
     """
     t0 = time.perf_counter_ns()
-    ctx = preprocess(P, S, rows=())
+    ctx = preprocess(P, S)
     t1 = time.perf_counter_ns()
     ell = binary_search_threshold(ctx)
     lam = threshold_value(ctx.emst, ell)

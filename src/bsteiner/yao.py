@@ -15,28 +15,27 @@ most cells.  A caller that reads no cell at or above a squared length
 `limit`, other than each row's minimum, passes that limit (the solver
 passes the largest edge of the candidates' spanning tree).  The round then
 fetches only the neighbors within a hair above sqrt(limit), and retires,
-as empty, each open cell that no such read can reach.  A second, small
-round does the same with the two nearest candidates of each terminal
-that settled no cell.  When many cells stay open, a proof from one sort
-of the candidates per cone settles the open cones that hold no
-candidate.  One batched exact search of the same tree settles the rest:
-it cuts the tree's index order into leaves of one width, and walks their
-boxes level by level for all open cells at once, pruning by distance and
-by the cone's two half-planes, which it reads from the proof's table
-`_CONES`, and classifies the leaf points in NumPy.
+as empty, each open cell that no such read can reach.  When many cells
+stay open, a proof from one sort of the candidates per cone settles the
+open cones that hold no candidate.  One batched exact search of the same
+tree settles the rest: it cuts the tree's index order into leaves of one
+width, and walks their boxes level by level for all open cells at once,
+pruning by distance and by the cone's two half-planes, which it reads
+from the proof's table `_CONES`, and classifies the leaf points in NumPy.
 Both constructions measure every length with `geometry.squared_norms`
 and classify every cone with `geometry.cone_indices_from_deltas`, both
 applied to the deltas they already hold, so their tables are identical
 bit for bit, and with a limit, identical in every cell below it and in
 each row's minimum.
 
-A caller that reads few whole rows, as the solver does, names the rows
-it needs now (`rows`, none for the solver).  Every other row takes one
-unbounded round with k = 2 instead, which gives it its exact minimum and,
-where the second-nearest candidate lies beyond the limit, its whole row.
-The graph keeps the k-d tree and its leaf boxes, and
-`YaoGraph.complete` fills any other row later through the same steps,
-so that a row reads the same whenever it is filled.
+With a limit, the table starts with each terminal's nearest candidate
+only: one unbounded round with k = 2 gives every row its exact minimum
+and, where the second-nearest candidate lies beyond the limit, its whole
+row.  The graph keeps the k-d tree and its leaf boxes, and
+`YaoGraph.complete` fills any other row when a caller needs it, through
+the steps above, so that a row reads the same whenever it is filled.
+Without a limit no cell may be left out, and every row is filled at
+once.
 
 The search is what degenerate sets exercise.  On a 2-core machine
 `yao_bipartite(S, S)` takes about 0.22 s on 2**12 points of a circle, and
@@ -119,7 +118,9 @@ class YaoGraph:
     complete graph.  A cell at or above it may read as empty, (inf,
     `candidate_count`), although its cone holds a candidate; its true
     length is then at least `limit` and larger than its row's minimum.
-    inf marks a complete table.
+    With a finite limit, a row is full once `complete` has filled it, or
+    from the start when its second-nearest candidate lies beyond the
+    limit (`yao_bipartite`); inf marks a complete table, every row full.
     """
 
     candidate_count: int
@@ -136,9 +137,9 @@ class YaoGraph:
     def complete(self, rows) -> None:
         """Fill the named rows whole; rows that are full already stay as they are.
 
-        Each row then holds, cell for cell, what `yao_bipartite` without
-        `rows` gives it: it runs the same rounds, proof and search, and
-        rows do not depend on each other.  Once every row is full the
+        Every fill runs the same round, proof and search, and rows do not
+        depend on each other, so a row holds the same cells whenever it is
+        filled and whatever is filled with it.  Once every row is full the
         graph lets go of its k-d tree.
         """
         rows = np.asarray(rows, dtype=np.intp)
@@ -146,8 +147,8 @@ class YaoGraph:
         if len(rows):
             self._filler.fill(self, rows)
             self.full[rows] = True
-            if self.full.all():
-                self._filler = None
+        if self.full.all():
+            self._filler = None
 
     def binding_row(self) -> int:
         """The row with the largest minimum, the first on ties, filled whole."""
@@ -378,11 +379,9 @@ def _knn_round(kdtree, P, rows, k, bound, limit, Sx, Sy, best_w, best_s, done, r
       retires nothing.
     - open: it keeps its seed, the nearest in-cone candidate fetched.
 
-    A caller that learns its limit only after the round passes inf and
-    filters the open cells by the same floor.  The neighbor lists are
-    reduced in row blocks of about `_BLOCK` neighbors, and at most
-    `_BLOCK` cells at small k; each write goes through the terminal's own
-    index.
+    The neighbor lists are reduced in row blocks of about `_BLOCK`
+    neighbors, and at most `_BLOCK` cells at small k; each write goes
+    through the terminal's own index.
     """
     m = len(Sx)
     complete = k == m and bound == np.inf
@@ -598,13 +597,6 @@ class _Filler:
         # a margin above the limit's root, so that the round's floor clears the limit
         bound = math.sqrt(limit) * (1.0 + 2.0**-30)
         _knn_round(kdtree, P, rows, min(_KNN_START, m), bound, limit, self.Sx, self.Sy, best_w, best_s, done, radius)
-        if bound < np.inf:
-            # a row that settled no cell retired none: fetch its two nearest
-            # candidates, without the bound
-            lone = rows[~row_any(done[rows])]
-            if len(lone):
-                _knn_round(kdtree, P, lone, min(2, m), np.inf, limit, self.Sx, self.Sy, best_w, best_s, done, radius)
-
         cells = _open_cells(done, rows)
         if len(cells) * _LEAF_SIZE >= m:
             # many open cones, which are often empty: the proof settles them
@@ -616,12 +608,18 @@ class _Filler:
             _cone_search(self.boxes, P, S, cells, radius, best_w, best_s)
 
 
-def yao_bipartite(P, S, limit: float = np.inf, rows=None) -> YaoGraph:
+def yao_bipartite(P, S, limit: float = np.inf) -> YaoGraph:
     """Accelerated construction, identical output to `yao_bruteforce` below `limit`.
 
-    `rows` names the terminals whose rows are filled whole now; None, the
-    default, fills every row.  Every other row gets its nearest candidate
-    only, and `YaoGraph.complete` fills it when a caller needs it.
+    Without a limit no cell may be left out, and every row is filled
+    whole at once.  With one, every row first gets one unbounded round
+    with k = 2.  A row's nearest candidate is settled when it lies
+    strictly nearer than the second, and it is then the row's exact
+    minimum.  Where the floor of the second distance clears the limit,
+    the round retires the other cells, and the row is full at once.
+    Every other row keeps its nearest cell alone, and `YaoGraph.complete`
+    fills it when a caller needs it; a row whose two nearest candidates
+    tie settles nothing, and is filled whole at once.
 
     A row is filled by a batched k-nearest-neighbor round (`_knn_round`,
     k = `_KNN_START`), which settles most (terminal, cone) cells and
@@ -633,11 +631,10 @@ def yao_bipartite(P, S, limit: float = np.inf, rows=None) -> YaoGraph:
     candidates within b; the padding is dropped before the cones are
     classified.  The row's radius r is the k-th distance or b, whichever
     is smaller, so a row padded short retires its open cells when it
-    settled one.  A row that settled none retires none; mostly it holds
-    nothing within b, so only its nearest cell can be read.  A second,
-    unbounded round fetches the two nearest candidates of those rows,
-    rewrites them whole, and their radius becomes the second distance.
-    Without a limit, b is inf and one round runs.
+    settled one.  A row that the k = 2 round left open has its
+    second-nearest candidate within b, so it settles its nearest one
+    here, unless the two tie; then it settles and retires nothing.
+    Without a limit, b is inf.
 
     When at least m / `_LEAF_SIZE` cells stay open, the open cones that
     provably hold no candidate are then settled all at once
@@ -648,14 +645,6 @@ def yao_bipartite(P, S, limit: float = np.inf, rows=None) -> YaoGraph:
     the leaf boxes that prunes by distance and by the two half-planes of
     the cone, and classifies the leaf points in NumPy.  Without a limit
     every open cell is settled and the row is complete.
-
-    The rows not named take one unbounded round with k = 2 instead.  A
-    row's nearest candidate is settled when it lies strictly nearer than
-    the second, and it is then the row's exact minimum.  Where the floor
-    of the second distance clears the limit, the round retires the other
-    cells, and the row is full at once.  Every other row keeps its
-    nearest cell alone, and a row whose two nearest candidates tie is
-    filled whole at once.
 
     The rounds visit the terminals in Morton order (`_z_order`), so
     consecutive queries walk nearby parts of the tree.  A round queries
@@ -684,14 +673,12 @@ def yao_bipartite(P, S, limit: float = np.inf, rows=None) -> YaoGraph:
     f = _Filler(P, S)
     graph = YaoGraph(m, best_w, best_s, limit, np.zeros(n, dtype=bool), f)
     order = _z_order(P)
-    if rows is None:
+    if limit == np.inf:
         graph.complete(order)
         return graph
 
-    rows = np.asarray(rows, dtype=np.intp)
-    rest = order[~np.isin(order, rows)]
-    done = np.ones((n, NUM_CONES), dtype=bool)
-    _knn_round(f.kdtree, P, rest, min(2, m), np.inf, limit, f.Sx, f.Sy, best_w, best_s, done, np.empty(n))
+    done = np.empty((n, NUM_CONES), dtype=bool)
+    _knn_round(f.kdtree, P, order, min(2, m), np.inf, limit, f.Sx, f.Sy, best_w, best_s, done, np.empty(n))
     # a row keeps only its settled nearest cell unless the round settled or
     # retired every cell; one that settled none, whose two nearest
     # candidates tie, is filled now
@@ -699,6 +686,5 @@ def yao_bipartite(P, S, limit: float = np.inf, rows=None) -> YaoGraph:
     np.putmask(best_w, unread, np.inf)
     np.putmask(best_s, unread, m)
     graph.full[:] = ~row_any(unread)
-    graph.full[rows] = False
-    graph.complete(np.r_[rows, np.flatnonzero(~row_any(done))])
+    graph.complete(np.flatnonzero(~row_any(done)))
     return graph

@@ -6,6 +6,7 @@ from bsteiner.emst import euclidean_mst
 from bsteiner.oracle import brute_force_optimum
 from bsteiner.generators import gen_random_instance
 from bsteiner.solver import build_tree_for_component, preprocess
+from bsteiner.yao import yao_bruteforce
 
 COLLINEAR_S = [(0, 0), (1, 0), (2, 0)]
 COLLINEAR_P = [(-1, 0), (3, 0)]
@@ -53,15 +54,16 @@ def test_compare_to_optimal_examples():
 
 
 def brute_candidate_set(ctx, lam):
-    """Set comprehension straight from the definition."""
+    """Set comprehension straight from the definition, over the brute-force cone graph."""
     lab = forest_components(ctx.emst, lam)
+    yao = yao_bruteforce(ctx.P, ctx.S)
     J = set()
     for j in range(lab.component_count):
         ok = True
         for i in range(len(ctx.P)):
             hits = [
                 s
-                for s, _, w in ctx.yao.edges_of(i)
+                for s, _, w in yao.edges_of(i)
                 if lab.label[s] == j and w < lam
             ]
             if not hits:

@@ -385,7 +385,7 @@ def test_minimax_bound_costs_at_most_one_probe(monkeypatch):
 
 def minimax_index(ctx, root):
     """First index above U_r, the minimax bound from one root (Hu 1961)."""
-    yao = ctx.yao
+    yao = yao_bruteforce(ctx.P, ctx.S)
     b = tree_bottlenecks(ctx.emst, root)
     u = np.maximum(yao.best_w, b.take(yao.best_s, mode="clip")).min(axis=1).max()
     return int(np.searchsorted(ctx.emst.thresholds, u, side="right")) + 1
@@ -409,7 +409,7 @@ def test_search_walks_only_the_binding_terminals_cells(monkeypatch):
         P, S = search_instance(rng, trial % 4)
         ctx = preprocess(P, S)
         yao, thresholds = ctx.yao, ctx.emst.thresholds
-        p = int(np.argmax(yao.best_w.min(axis=1)))
+        p = yao.binding_row()
         cells = yao.best_s[p][np.isfinite(yao.best_w[p])]
         del calls[:], roots[:]
         ell = binary_search_threshold(ctx)
@@ -431,12 +431,12 @@ def test_peak_memory_of_search_and_assembly_stays_bounded(monkeypatch):
     # a time: together they peak near 6.4 MiB, the 1.8 MiB tree they return
     # and the rows they fill included.  Whole-table temporaries, two at a
     # time, peaked at 9.1 MiB.
-    ctx = preprocess(*blob_shaped(np.random.default_rng(5), 2**16, 2**16), rows=())
+    ctx = preprocess(*blob_shaped(np.random.default_rng(5), 2**16, 2**16))
     table = ctx.yao.best_w.nbytes
     walks = []
     real = solver.tree_bottlenecks
     monkeypatch.setattr(solver, "tree_bottlenecks", lambda emst, root: walks.append(root) or real(emst, root))
-    monkeypatch.setattr(solver, "preprocess", lambda P, S, rows=None: ctx)
+    monkeypatch.setattr(solver, "preprocess", lambda P, S: ctx)
     tracemalloc.start()
     try:
         report = solve(ctx.P, ctx.S)
@@ -544,8 +544,9 @@ def truncation_instance(rng, family):
 
 
 def test_truncated_table_answers_like_the_complete_one():
-    # cells at or beyond the largest tree edge M may stay unsettled; no
-    # decision, search or assembly can tell
+    # preprocess's table holds each row's nearest cell, and whole rows
+    # only where filled; cells at or beyond the largest tree edge M may
+    # stay unsettled.  No decision, search or assembly can tell
     rng = np.random.default_rng(1804)
     unsettled = 0
     for trial in range(60):
@@ -557,7 +558,9 @@ def test_truncated_table_answers_like_the_complete_one():
         assert yao.limit == thresholds[-1] and full.limit == np.inf
         same = (yao.best_w == full.best_w) & (yao.best_s == full.best_s)
         empty = (yao.best_w == np.inf) & (yao.best_s == len(S))
-        exact = (full.best_w < yao.limit) | (full.best_w == full.best_w.min(axis=1)[:, None])
+        at_min = full.best_w == full.best_w.min(axis=1)[:, None]
+        # every row's minimum is exact, and a full row is exact below M
+        exact = at_min | (yao.full[:, None] & (full.best_w < yao.limit))
         assert same[exact].all() and (same | empty).all()
         unsettled += int(np.count_nonzero(~same))
 
@@ -579,8 +582,9 @@ def test_truncated_table_answers_like_the_complete_one():
 
 
 def complete_table_pipeline(P, S):
-    """The answer through the complete cone table: (tree, index, component, candidate count)."""
+    """The answer through the brute-force cone table: (tree, index, component, candidate count)."""
     ctx = preprocess(P, S)
+    ctx = SolverContext(ctx.P, ctx.S, ctx.emst, yao_bruteforce(ctx.P, ctx.S))
     ell = binary_search_threshold(ctx)
     lab = forest_components(ctx.emst, threshold_value(ctx.emst, ell))
     J = candidate_components(ctx, lab)
@@ -687,10 +691,10 @@ def test_peak_memory_of_the_solves_cone_table_stays_bounded():
     # with the k = 32 round peaks near 10.6 MiB
     P, S = gen_random_instance(1 << 14, 1 << 14, 1000.0, seed=312)
     limit = euclidean_mst(S).thresholds[-1]
-    yao_bipartite(P[:10], S[:10], limit, rows=())
+    yao_bipartite(P[:10], S[:10], limit)
     tracemalloc.start()
     try:
-        yao_bipartite(P, S, limit, rows=())
+        yao_bipartite(P, S, limit)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

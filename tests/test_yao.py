@@ -390,10 +390,18 @@ def _mst_limit(S):
     return thresholds[-1] if len(thresholds) else np.inf
 
 
+def completed_table(P, S, limit):
+    """`yao_bipartite`'s table with the limit, every row then filled whole."""
+    g = yao_bipartite(P, S, limit)
+    g.complete(np.arange(g.terminal_count))
+    return g
+
+
 def test_lazy_rows_hold_their_minimum_and_fill_like_the_complete_call():
-    # rows not named get one k = 2 round: each holds its exact minimum, and
-    # is full when the rest of it lies beyond the limit; filling a row
-    # later gives it what the complete call gives it
+    # with a limit every row gets one k = 2 round: each holds its exact
+    # minimum, and is full when the rest of it lies beyond the limit;
+    # filling rows a few at a time, in any order, gives each row what one
+    # call that fills every row gives it
     rng = np.random.default_rng(333)
     lazy = 0
     for trial in range(60):
@@ -407,9 +415,9 @@ def test_lazy_rows_hold_their_minimum_and_fill_like_the_complete_call():
             P, S = rng.uniform(0.0, 10.0, (n, 2)), rng.uniform(0.0, 10.0, (m, 2))
         limit = _mst_limit(S)
         named = rng.choice(n, int(rng.integers(0, 4)), replace=False)
-        g = yao_bipartite(P, S, limit, rows=named)
-        ref, bf = yao_bipartite(P, S, limit), yao_bruteforce(P, S)
-        assert g.limit == limit and g.full[named].all()
+        g = yao_bipartite(P, S, limit)
+        ref, bf = completed_table(P, S, limit), yao_bruteforce(P, S)
+        assert g.limit == limit
         same = (g.best_w == bf.best_w) & (g.best_s == bf.best_s)
         empty = (g.best_w == np.inf) & (g.best_s == len(S))
         at_min = bf.best_w == row_min(bf.best_w)[:, None]
@@ -422,11 +430,12 @@ def test_lazy_rows_hold_their_minimum_and_fill_like_the_complete_call():
             # ties are filled at once
             tie = np.count_nonzero(at_min, axis=1) > 1
             assert g.full[tie].all()
-        g.complete(np.r_[named, rows[::-1]])
+        g.complete(named)
+        assert g.full[named].all()
+        g.complete(rows[::-1])
         assert g.full.all() and g._filler is None
-        filled = np.r_[named, rows]
-        assert np.array_equal(g.best_w[filled], ref.best_w[filled])
-        assert np.array_equal(g.best_s[filled], ref.best_s[filled])
+        assert np.array_equal(g.best_w, ref.best_w) and np.array_equal(g.best_s, ref.best_s)
+        assert_exact_below(ref, P, S, limit)
     assert lazy > 1000
 
 
@@ -439,7 +448,7 @@ def test_bounded_round_with_every_candidate_fetchable():
         m, n = int(rng.integers(2, 33)), int(rng.integers(1, 40))
         S, P = rng.uniform(0.0, 10.0, (m, 2)), rng.uniform(-2.0, 12.0, (n, 2))
         limit = _mst_limit(S)
-        assert_exact_below(yao_bipartite(P, S, limit), P, S, limit)
+        assert_exact_below(completed_table(P, S, limit), P, S, limit)
         cut += int(np.count_nonzero(squared_distances(P[:, None], S) >= limit))
     assert cut > 0
 
@@ -456,7 +465,7 @@ def test_bounded_round_in_a_dense_cluster():
         limit = _mst_limit(S)
         within = np.count_nonzero(squared_distances(P[:, None], S) < limit, axis=1)
         assert within.max() > yao._KNN_START > within.min()
-        assert_exact_below(yao_bipartite(P, S, limit), P, S, limit)
+        assert_exact_below(completed_table(P, S, limit), P, S, limit)
 
 
 def record_queries(monkeypatch):
@@ -477,20 +486,32 @@ def _same_rows(a, b):
 
 
 def test_query_plan_bounds_the_first_round_by_the_limit(monkeypatch):
-    # one bounded round of every terminal, then an unbounded k = 2 round of
-    # the terminals with nothing within the bound, here the outer ring
+    # construction makes one unbounded k = 2 query of every terminal, which
+    # leaves the terminals with nothing within the limit, here the outer
+    # ring, full; each fill then makes one query bounded by the limit, at
+    # k = 32, of exactly the rows it names that are not full
     calls = record_queries(monkeypatch)
     rng = np.random.default_rng(333)
     P, S = _ring(rng, 40, 1.05, 1.5), _ring(rng, 100, 0.0, 1.0)
     limit = _mst_limit(S)
     g = yao_bipartite(P, S, limit)
-    assert len(calls) == 2
-    (rows, k, bound), (lone, k2, bound2) = calls
-    assert _same_rows(rows, P) and k == yao._KNN_START
-    assert np.sqrt(limit) < bound < np.sqrt(limit) * (1 + 2.0**-29)
+    assert len(calls) == 1
+    rows, k, bound = calls.pop()
+    assert _same_rows(rows, P) and k == 2 and bound == np.inf
     far = squared_distances(P[:, None], S).min(axis=1) >= limit
-    assert 0 < far.sum() and _same_rows(lone, P[far])
-    assert k2 == 2 and bound2 == np.inf
+    assert 0 < far.sum() and g.full[far].all()
+    lazy = np.flatnonzero(~g.full)
+    assert len(lazy) > 1
+    for named in (np.arange(lazy[0] + 1), np.arange(len(P)), np.arange(len(P))):
+        todo = np.intersect1d(named, np.flatnonzero(~g.full))
+        g.complete(named)
+        if len(todo):
+            assert len(calls) == 1
+            rows, k, bound = calls.pop()
+            assert _same_rows(rows, P[todo]) and k == yao._KNN_START
+            assert np.sqrt(limit) < bound < np.sqrt(limit) * (1 + 2.0**-29)
+        assert calls == []
+    assert g.full.all()
     assert_exact_below(g, P, S, limit)
 
 
@@ -506,23 +527,24 @@ def test_query_plan_without_a_limit(monkeypatch):
 
 
 def test_query_plan_splits_a_round_into_chunks_of_rows(monkeypatch):
-    # with a budget of 8 rows per query at k = 32, the first round queries
-    # the 40 terminals in ceil(40 * 32 / budget) = 5 chunks, each row once
+    # with a budget of 8 rows per query at k = 32, filling the 40 terminals
+    # of a candidate disc, none of them full, queries them in
+    # ceil(40 * 32 / budget) = 5 chunks, each row once
     calls = record_queries(monkeypatch)
     monkeypatch.setattr(yao, "_QUERY", 8 * yao._KNN_START)
     rng = np.random.default_rng(333)
-    P, S = _ring(rng, 40, 1.05, 1.5), _ring(rng, 100, 0.0, 1.0)
+    P, S = _ring(rng, 40, 0.0, 1.0), _ring(rng, 100, 0.0, 1.0)
     limit = _mst_limit(S)
     g = yao_bipartite(P, S, limit)
-    first, second = calls[:5], calls[5:]
-    assert {k for _, k, _ in first} == {yao._KNN_START}
-    assert len({bound for _, _, bound in first}) == 1 and np.isfinite(first[0][2])
-    assert [len(rows) for rows, _, _ in first] == [8] * 5
-    assert _same_rows(np.concatenate([rows for rows, _, _ in first]), P)
-    # the k = 2 round of the far terminals fits one query of 128 rows
-    far = squared_distances(P[:, None], S).min(axis=1) >= limit
-    assert len(second) == 1 and second[0][1:] == (2, np.inf)
-    assert _same_rows(second[0][0], P[far])
+    # the k = 2 round of construction fits one query of 128 rows
+    assert len(calls) == 1 and calls[0][1:] == (2, np.inf)
+    assert _same_rows(calls.pop()[0], P)
+    assert not g.full.any()
+    g.complete(np.arange(len(P)))
+    assert {k for _, k, _ in calls} == {yao._KNN_START}
+    assert len({bound for _, _, bound in calls}) == 1 and np.isfinite(calls[0][2])
+    assert [len(rows) for rows, _, _ in calls] == [8] * 5
+    assert _same_rows(np.concatenate([rows for rows, _, _ in calls]), P)
     assert_exact_below(g, P, S, limit)
 
 
@@ -553,7 +575,7 @@ def test_limited_table_matches_bruteforce_below_the_limit(data):
         # an exact lattice squared length: lattice candidates sit exactly at sqrt(limit)
         a, b = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
         limit = float(a * a + b * b)
-    assert_exact_below(yao_bipartite(P, S, limit), P, S, limit)
+    assert_exact_below(completed_table(P, S, limit), P, S, limit)
 
 
 def _block_families():
@@ -610,7 +632,7 @@ def test_query_chunks_keep_the_graph(monkeypatch, query, limited):
     for P, S in BLOCK_FAMILIES.values():
         if limited:
             limit = _mst_limit(S)
-            assert_exact_below(yao_bipartite(P, S, limit), P, S, limit)
+            assert_exact_below(completed_table(P, S, limit), P, S, limit)
         else:
             assert same_edges(yao_bruteforce(P, S), yao_bipartite(P, S))
 
@@ -676,10 +698,12 @@ def test_peak_memory_of_a_round_stays_bounded_as_n_grows():
 
 def test_peak_memory_with_the_limit_stays_bounded_on_a_hull():
     # Terminals ring a disc of candidates, n = m = 2**16, with the largest
-    # tree edge as the limit: nearly every row settles one cell and retires
-    # the others as the round reduces its block, so the call peaks near
-    # 21 MiB.  Copying the row of each open cell after the round, as a
-    # separate pass, peaked at 48.5 MiB.
+    # tree edge as the limit, every row filled: nearly every row settles
+    # one cell and retires the others in the k = 2 round, and the fill's
+    # round retires them as it reduces its block, so the call peaks near
+    # 11 MiB.  One k = 32 round of every row peaked near 21 MiB, and
+    # copying the row of each open cell after it, as a separate pass, at
+    # 48.5 MiB.
     rng = np.random.default_rng(311)
 
     def annulus(k, r0, r1):
@@ -693,7 +717,7 @@ def test_peak_memory_with_the_limit_stays_bounded_on_a_hull():
     yao_bipartite(P[:10], S[:10])
     tracemalloc.start()
     try:
-        yao_bipartite(P, S, limit)
+        completed_table(P, S, limit)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
