@@ -24,14 +24,17 @@ boundary.  An edge's midpoint lies in the Voronoi cell of each end, and
 an interior point's cell lies within that circumradius of it.  One more
 triangulation of all seam points supplies those edges.
 
-Blocks are triangulated two at a time: the second of each consecutive
-pair on one helper thread, the first on the calling thread.  Qhull
-releases the interpreter lock, so the two calls overlap.  The helper is
-built with the module and kept for the life of the process; a forked
-child builds its own.  Only Qhull runs on the helper, so at most two
-Qhull calls of one `euclidean_mst` are in flight, and the pair's partner
-has returned before its edges are read, before the seam call and before
-any fallback starts.
+The blocks form one queue shared by two threads.  The calling thread
+takes blocks from the front; one helper thread is given the last block
+and then takes blocks from the back.  Each thread triangulates its
+block and reduces it to the surviving keys and seam points before it
+takes another, so at most two triangulations of one `euclidean_mst` are
+alive.  Qhull and numpy's loops over large arrays release the
+interpreter lock, so the two threads overlap.  The helper is built with the module and
+kept for the life of the process; a forked child builds its own.  A
+block that does not triangulate stops both threads, and the helper has
+returned before the seam call, which runs on the calling thread, and
+before any fallback starts.
 
 Qhull is not exact around near-duplicates, even those it keeps: it can
 join a point to the farther of two points 1e-12 apart.  So a set with
@@ -47,9 +50,9 @@ Prim implementation serves as the independent reference.
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from itertools import zip_longest
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -162,13 +165,15 @@ def _delaunay(pts: np.ndarray) -> Delaunay | None:
     return tri if len(tri.coplanar) == 0 else None
 
 
-# The one helper thread that triangulates every second block, kept for the
-# life of the process: on a 2-core machine a thread per call, or glue run
-# on a second thread, raised the benchmark's peak resident memory by
-# 10-13 %, against 4-7 % for one persistent thread that runs only Qhull.
-# The executor is built with the module and starts its thread at the first
-# submit, which is thread-safe.  A forked child inherits the executor but
-# not its thread, and would wait forever on it, so the child builds its own.
+# The one helper thread that shares the block queue with the caller, kept
+# for the life of the process: on a 2-core machine an executor per call
+# raised the benchmark's uniform peak resident memory from about 95 to
+# 99.5 MB.  Reducing its blocks on the helper, where it used to run only
+# Qhull, moved that peak by under 1 MB: blob 84.0 -> 83.4 MB and uniform
+# 83.0 -> 82.2 MB, medians of 10 and 6 runs.  The executor is built with
+# the module and starts its thread at the first submit, which is
+# thread-safe.  A forked child inherits the executor but not its thread,
+# and would wait forever on it, so the child builds its own.
 def _new_helper() -> None:
     global _helper
     _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bsteiner-delaunay")
@@ -176,22 +181,6 @@ def _new_helper() -> None:
 
 _new_helper()
 os.register_at_fork(after_in_child=_new_helper)
-
-
-def _delaunay_pair(points: list[np.ndarray]) -> list[Delaunay | None]:
-    """`_delaunay` of one or two point arrays, the second on the helper thread.
-
-    Qhull releases the interpreter lock, so the two calls run at once.
-    The helper's call is awaited even when the caller's raises, so no
-    Qhull call outlives this function, and an exception raised on the
-    helper reaches the caller unchanged.
-    """
-    pending = [_helper.submit(_delaunay, pts) for pts in points[1:]]
-    try:
-        first = _delaunay(points[0])
-    finally:
-        wait(pending)
-    return [first] + [f.result() for f in pending]
 
 
 def _blocks(pts: np.ndarray):
@@ -325,33 +314,56 @@ def _delaunay_keys(upts: np.ndarray, rep: np.ndarray, m: int) -> np.ndarray | No
     Returns None when some call does not triangulate every point it was
     given.
 
-    The blocks go to `_delaunay_pair` in consecutive pairs, the second of
-    each on the helper thread, so at most two Qhull calls run at once and
-    none outlives this function, on the None path too.  The keys, the
-    seam masks and the seam call stay on the calling thread.
+    The blocks form one queue.  The calling thread takes them from the
+    front; the helper thread is given the last block and then takes them
+    from the back.  Each side reduces a block to its keys and seam points
+    before it takes the next, so at most two triangulations are alive.  A
+    block that does not triangulate empties the queue, and the caller
+    waits for the helper even when its own work raises, so no Qhull call
+    outlives this function.  The seam call stays on the calling thread.
     """
-    parts, seam = [], []
-    blocks = _blocks(upts)
-    for pair in zip_longest(blocks, blocks):  # consecutive pairs; an odd count ends in None
-        pair = [b for b in pair if b is not None]
-        points = [upts[idx] for idx, _, _ in pair]
-        tris = _delaunay_pair(points)
-        if any(tri is None for tri in tris):
-            return None
-        for (idx, lo, hi), pts, tri in zip(pair, points, tris):
-            corner, w = _sides(tri.simplices, pts)
-            parts.append(_triangle_keys(tri.simplices, w, rep[idx], m))
-            if len(idx) < len(upts):
-                seam.append(idx[_seam(pts, tri, corner, w, lo, hi)])
-        del tris, tri, corner, w  # before the next pair's triangulations are built
-    if seam:
-        idx = np.sort(np.concatenate(seam))
+    blocks = list(_blocks(upts))
+    queue = deque(range(1, len(blocks) - 1))  # pops from either end are atomic
+    parts = []  # (keys, seam points) per block, in the order they finish
+
+    def reduce(i):
+        idx, lo, hi = blocks[i]
         pts = upts[idx]
         tri = _delaunay(pts)
         if tri is None:
             return None
-        parts.append(_triangle_keys(tri.simplices, _sides(tri.simplices, pts)[1], rep[idx], m))
-    return _distinct(np.concatenate(parts))
+        corner, w = _sides(tri.simplices, pts)
+        seam = idx[_seam(pts, tri, corner, w, lo, hi)] if len(blocks) > 1 else None
+        return _triangle_keys(tri.simplices, w, rep[idx], m), seam
+
+    def work(i, take):
+        """Reduce block i and each block `take` gets; False once one does not triangulate."""
+        while (part := reduce(i)) is not None:
+            parts.append(part)
+            try:
+                i = take()
+            except IndexError:  # the queue is empty
+                return True
+        queue.clear()
+        return False
+
+    pending = [_helper.submit(work, len(blocks) - 1, queue.pop)] if len(blocks) > 1 else []
+    try:
+        done = work(0, queue.popleft)
+    finally:
+        queue.clear()  # if the caller raised, the helper takes no further block
+        wait(pending)
+    if not all([done] + [f.result() for f in pending]):
+        return None
+    keys = [k for k, _ in parts]
+    if len(blocks) > 1:
+        idx = np.sort(np.concatenate([s for _, s in parts]))
+        pts = upts[idx]
+        tri = _delaunay(pts)
+        if tri is None:
+            return None
+        keys.append(_triangle_keys(tri.simplices, _sides(tri.simplices, pts)[1], rep[idx], m))
+    return _distinct(np.concatenate(keys))
 
 
 # Two distinct points within this fraction of the largest coordinate

@@ -42,8 +42,12 @@ The search is what degenerate sets exercise.  On a 2-core machine
 it grows 3-3.5x per doubling there (0.71 s at 2**13, 2.4 s at 2**14),
 because the cones nearly tangent to the circle meet the leaf boxes along
 the arc.  On a line of points at 60 degrees, where rounding leaves cones
-that no proof can settle, it takes about 0.024 s at 2**12 and 0.50 s at
-2**16, with doubling ratios of 2.0-2.2.
+that no proof can settle, the time depends on how the points are placed.
+For t * (cos 60, sin 60) * 1.7 with t a permutation of 0..m-1 it takes
+about 0.024 s at 2**12 and 0.50 s at 2**16, with doubling ratios of
+2.0-2.2.  With exact steps, (0.5 t, (sqrt(3)/2) t), it is super-linear:
+0.148 s at 2**12 to 6.14 s at 2**16, with ratios of 2.28-2.86, measured
+on a slower day when the first line took 0.070 s and 1.32 s.
 
 A candidate that coincides with the terminal lies in no cone, so an
 overlapping pair yields no edge.  The solver never meets one, because

@@ -438,6 +438,62 @@ def test_near_duplicate_clusters_match_all_pairs_kruskal(seed, size, k, e, scale
     assert euclidean_mst(S).edges == kruskal_all_pairs(S)
 
 
+def _integer_circle(r):
+    """Every integer point on x^2 + y^2 = r^2."""
+    x = np.arange(r + 1, dtype=np.int64)
+    y = np.rint(np.sqrt((r * r - x * x).astype(float))).astype(np.int64)
+    q = np.column_stack((x, y))[x * x + y * y == r * r]
+    return np.unique(np.concatenate([q * s for s in ([1, 1], [1, -1], [-1, 1], [-1, -1])]), axis=0)
+
+
+# 972 points, r = 5 * 13 * 17 * 29 * 37: every squared distance between
+# two of them is an integer below 2**53, so it is exact in float64.
+BIG_CIRCLE = _integer_circle(1_185_665).astype(float)
+
+
+def degenerate_family(kind, seed, m):
+    """m points (more for the lattice) of one family on which Delaunay
+    is degenerate, from a drawn seed."""
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":  # a third of its points repeated
+        k = int(rng.integers(1, 8))
+        S = rng.integers(-k, k + 1, (m, 2))
+        return rng.permutation(np.concatenate((S, S[: m // 3]))).astype(float)
+    if kind == "collinear":  # integer steps, along an axis too
+        step = rng.integers(0, 6, 2) * rng.choice([-1, 1], 2)
+        if not step.any():
+            step[0] = 1
+        t = rng.choice(np.arange(-150, 150), m, replace=False)
+        return (rng.integers(-50, 51, 2) + t[:, None] * step).astype(float)
+    sign = rng.choice([-1.0, 1.0])  # 60 or 120 degrees
+    t = rng.permutation(m).astype(float)
+    if kind == "line":
+        return t[:, None] * np.array([sign * np.cos(np.pi / 3), np.sin(np.pi / 3)]) * 1.7
+    if kind == "exact-step line":
+        return np.column_stack((sign * 0.5 * t, np.sqrt(3) / 2 * t))
+    return BIG_CIRCLE[rng.choice(len(BIG_CIRCLE), m, replace=False)]
+
+
+# Blocks of 16 points send the larger sets through the block queue, the
+# seam call and, for the lines, the six-cone fallback.  Each set is scaled
+# by a power of two that keeps its coordinates inside [2**-400, 2**500).
+@settings(max_examples=1200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["lattice", "collinear", "line", "exact-step line", "circle"]),
+    st.integers(0, 2**32 - 1), st.integers(2, 100), st.integers(-420, 520),
+)
+def test_degenerate_families_match_all_pairs_kruskal(kind, seed, m, e):
+    S = degenerate_family(kind, seed, m)
+    mag = np.abs(S[S != 0])
+    if len(mag):  # a lattice set may be all zero
+        lo = 1 - 400 - int(np.frexp(mag.min())[1])
+        hi = 500 - int(np.frexp(mag.max())[1])
+        S = np.ldexp(S, min(max(e, lo), hi))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(emst, "_DT_BLOCK", 16)
+        assert euclidean_mst(S).edges == kruskal_all_pairs(S)
+
+
 @pytest.mark.xfail(strict=True, reason="Qhull is not exact around clusters 1e-9 to 1e-6 of the magnitude apart")
 def test_clusters_above_the_near_route_match_all_pairs_kruskal():
     # Offsets of 2**-24 to 2**-23 M stay on the Delaunay path, where 2 to 9
@@ -469,19 +525,20 @@ def test_collinear_block_takes_the_six_cone_graph(monkeypatch):
     assert len(emst._candidate_edges(S)[0]) <= 6 * len(S)
 
 
-def spy_delaunay(monkeypatch, on_helper=None):
+def spy_delaunay(monkeypatch, on_helper=None, on_caller=None):
     """Record (event, thread id, result) around every `_delaunay` call.
 
     `on_helper`, if given, runs before each call made off the calling
-    thread."""
+    thread, and `on_caller` before each call made on it."""
     real, caller = emst._delaunay, threading.get_ident()
     events = []
 
     def spy(pts):
         me = threading.get_ident()
         events.append(("enter", me, None))
-        if on_helper is not None and me != caller:
-            on_helper()
+        hook = on_caller if me == caller else on_helper
+        if hook is not None:
+            hook()
         tri = real(pts)
         events.append(("return", me, tri))
         return tri
@@ -500,6 +557,25 @@ def test_blocks_are_triangulated_on_one_helper_thread(block, monkeypatch):
         assert euclidean_mst(S).edges == kruskal_all_pairs(S)
     # the caller and exactly one helper, which is kept across calls
     assert len({ident for _, ident, _ in events}) == 2
+
+
+def test_each_block_is_triangulated_once_from_one_queue(monkeypatch):
+    # 17, 120 and 201 points make 2, 8 and 16 blocks of at most 16.  The
+    # caller and the helper share them, and every block is triangulated
+    # exactly once, before one more call on the seam points.
+    monkeypatch.setattr(emst, "_DT_BLOCK", 16)
+    events = spy_delaunay(monkeypatch)
+    rng = np.random.default_rng(26)
+    caller = threading.get_ident()
+    for m, blocks in ((17, 2), (120, 8), (201, 16)):
+        S = rng.uniform(0, 50, (m, 2))
+        assert len(list(emst._blocks(S))) == blocks
+        events.clear()
+        assert euclidean_mst(S).edges == kruskal_all_pairs(S)
+        calls = [ident for kind, ident, _ in events if kind == "enter"]
+        assert len(calls) == blocks + 1
+        assert sum(ident != caller for ident in calls) >= 1
+        assert [kind for kind, _, _ in events].count("return") == blocks + 1
 
 
 def test_helper_returns_before_the_six_cone_fallback(monkeypatch):
@@ -528,6 +604,33 @@ def test_helper_returns_before_the_six_cone_fallback(monkeypatch):
     assert [tri is not None for tri in returned.values()] == [True]
 
 
+def test_caller_returns_before_the_six_cone_fallback(monkeypatch):
+    # The collinear line lies right of the uniform points, so it is the
+    # last block, the one given to the helper.  The caller's block is
+    # slowed down, and both calls return before the Yao graph starts.
+    monkeypatch.setattr(emst, "_DT_BLOCK", 16)
+    events = spy_delaunay(monkeypatch, on_caller=lambda: time.sleep(0.2))
+    rng = np.random.default_rng(21)
+    line = np.column_stack((300 + rng.permutation(16) * 1.5, np.zeros(16)))
+    S = np.concatenate((rng.uniform((100, 0), (200, 50), (16, 2)), line))
+    real = emst.yao_bipartite
+
+    def spy_yao(P, Q):
+        events.append(("yao", threading.get_ident(), None))
+        return real(P, Q)
+
+    monkeypatch.setattr(emst, "yao_bipartite", spy_yao)
+    r = euclidean_mst(S)
+    assert r.edges == kruskal_all_pairs(S)
+    kinds = [kind for kind, _, _ in events]
+    assert kinds.count("enter") == kinds.count("return") == 2
+    assert kinds[-1] == "yao"
+    returned = {ident: tri for kind, ident, tri in events if kind == "return"}
+    caller = threading.get_ident()
+    assert returned.pop(caller) is not None
+    assert [tri is None for tri in returned.values()] == [True]
+
+
 def test_helper_exception_reaches_the_caller_unchanged(monkeypatch):
     monkeypatch.setattr(emst, "_DT_BLOCK", 16)
     error = RuntimeError("raised on the helper")
@@ -540,9 +643,13 @@ def test_helper_exception_reaches_the_caller_unchanged(monkeypatch):
     with pytest.raises(RuntimeError) as info:
         euclidean_mst(S)
     assert info.value is error
-    # the caller's own block of the pair finished before the error surfaced
-    assert sorted(kind for kind, _, _ in events) == ["enter", "enter", "return"]
-    assert [ident for kind, ident, _ in events if kind == "return"] == [threading.get_ident()]
+    # The helper failed on its first block and took no other; the caller
+    # may have reduced several of the four blocks before the error
+    # surfaced, and each of its calls finished.
+    caller = threading.get_ident()
+    assert [kind for kind, ident, _ in events if ident != caller] == ["enter"]
+    mine = [kind for kind, ident, _ in events if ident == caller]
+    assert mine.count("enter") == mine.count("return") >= 1
 
 
 def test_concurrent_callers_share_one_helper(monkeypatch):
