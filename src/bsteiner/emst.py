@@ -37,13 +37,12 @@ returned before the seam call, which runs on the calling thread, and
 before any fallback starts.
 
 Qhull is not exact around near-duplicates, even those it keeps: it can
-join a point to the farther of two points 1e-12 apart.  So a set with
-two distinct points within `_NEAR` of its largest coordinate magnitude
-in both coordinates takes the six-cone Yao graph instead, which also
-contains the EMST and has at most 6m edges, and so does a set where
-some call does not triangulate every point (collinear blocks).  Clusters
-up to about 1e-6 of the magnitude apart still take the Delaunay path,
-and a few per cent of their trees are not minimal (`_NEAR`).  A dense
+join a point to the farther of two points 1e-12 apart.  So each point
+within `_NEAR` of the largest coordinate magnitude of another, in both
+coordinates, adds its own row of the six-cone Yao graph, which holds
+every tree edge at it (Yao 1982); that Qhull errs only there is
+measured, not proved.  A set where some call does not triangulate every
+point (collinear blocks) takes the Yao graph of all its points.  A dense
 Prim implementation serves as the independent reference.
 """
 
@@ -366,35 +365,34 @@ def _delaunay_keys(upts: np.ndarray, rep: np.ndarray, m: int) -> np.ndarray | No
     return _distinct(np.concatenate(keys))
 
 
-# Two distinct points within this fraction of the largest coordinate
-# magnitude, in both coordinates, send the set to the six-cone graph.  On
-# 200 uniform points in the unit square with 40 points moved next to 40
-# others, the Delaunay tree was wrong in 4 sets of 60 at offsets of 1e-12,
-# Qhull dropped a point of every set at 1e-13 and 1e-14, and offsets of
-# 1e-11 to 1e-7 gave the exact tree.  Clusters stay wrong farther out:
-# with 30 points and 30 more offset by 2**e to 2**(e + 1) of the
-# magnitude, 2 to 9 of 200 trees per e were wrong for e from -29 to -24
-# (none from -23 to -20), and points at one distance around a centre
-# went wrong up to e = -20.  A fraction of 1e-6 would send 8 of 240
-# instances of the benchmark's blob workload here, where one solve took
-# 410 ms against 221 ms, and raised a run's peak resident memory by 17 %.
-_NEAR = 1e-9
+# A point within this fraction of the largest coordinate magnitude of
+# another, in both coordinates, is near and gets its own six-cone row.
+# With 30 points and 30 more offset by 2**e to 2**(e + 1) of the magnitude,
+# Qhull's tree alone was wrong on 33 of 2 000 sets for e from -29 to -20,
+# and with 12 points at one distance around one of 30 on 14; with the near
+# points' rows, on none.  2 or 3 of 40 blob instances of the benchmark hold
+# two near points, and no uniform or hull instance holds one.
+_NEAR = 1e-6
 
 
-def _has_near_pair(upts: np.ndarray) -> bool:
-    """Whether two points lie within `_NEAR` · max|coord| of each other in both coordinates.
+def _near_points(upts: np.ndarray) -> np.ndarray:
+    """Mask of the points within `_NEAR` · max|coord| of another point in both coordinates.
 
-    upts holds distinct points sorted by (x, y).  Such a pair lies in one
-    run of points whose consecutive x gaps are all within that, so only
-    the points of runs of two or more are checked in 2-D.  Counting the
-    pairs of those points within that distance counts each point once
-    with itself and each near pair twice.
+    A near pair lies in one run of points whose consecutive x gaps are
+    within that, and, among the points of such runs, in one run of y gaps
+    within it; only the points of runs along both axes reach the k-d tree.
     """
     tol = _NEAR * np.abs(upts).max()
-    close = np.diff(upts[:, 0]) <= tol
-    pts = upts[np.r_[close, False] | np.r_[False, close]]
-    tree = cKDTree(pts)
-    return tree.count_neighbors(tree, tol, p=np.inf) > len(pts)
+    idx = np.arange(len(upts))
+    for axis in (0, 1):
+        idx = idx[np.argsort(upts[idx, axis], kind="stable")]
+        gap = np.zeros(len(idx) + 1, dtype=bool)  # gap[i]: points i - 1 and i are close
+        gap[1:-1] = np.diff(upts[idx, axis]) <= tol
+        idx = idx[gap[:-1] | gap[1:]]
+    pairs = cKDTree(upts[idx]).query_pairs(tol, p=np.inf, output_type="ndarray")
+    near = np.zeros(len(upts), dtype=bool)
+    near[idx[pairs.ravel()]] = True
+    return near
 
 
 def _candidate_edges(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -402,12 +400,13 @@ def _candidate_edges(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Duplicate coordinates attach to their representative, the smallest
     original index at that coordinate, through zero-length edges.  The
-    distinct points U are joined by the six-cone Yao graph of U, which
-    contains the EMST (Yao 1982), when two of them are near-duplicates
-    (`_has_near_pair`), around which Qhull is not exact.  Otherwise they
-    are joined by Delaunay edges when Qhull triangulates every point it
-    is given, and by the Yao graph when it does not (fewer than three
-    points, collinear blocks, or a point Qhull reports as coplanar).
+    distinct points U are joined by Delaunay edges when Qhull triangulates
+    every point it is given, plus the cells of the six-cone Yao rows of
+    the near points (`_near_points`), around which Qhull is not exact:
+    every tree edge at a point is a cell of its row (Yao 1982).  When
+    Qhull does not triangulate every point (fewer than three points,
+    collinear blocks, or a point it reports as coplanar), every point
+    takes its row, and the Yao graph of U serves alone.
 
     Every edge of a (w, u, v) spanning tree is a strict Gabriel edge: no
     other point lies in the closed disc on it as diameter, since such a
@@ -417,9 +416,9 @@ def _candidate_edges(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     into blocks, each triangulated on its own, and joined through the
     triangulation of their seam points (`_delaunay_keys`, `_seam`).
 
-    U is ordered by representative index for the Yao graph, so it breaks
-    distance ties in the same order as (w, u, v).  Either way each pair
-    comes out once, as u < v in ascending key u*m + v.
+    The Yao graph's candidates are U in representative order, so it
+    breaks distance ties in the same order as (w, u, v).  Each pair comes
+    out once, as u < v in ascending key u*m + v.
     """
     m = len(S)
     uniq, inverse = np.unique(points_as_complex(S), return_inverse=True)
@@ -432,12 +431,13 @@ def _candidate_edges(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     zu, zv = rep_of[dup], dup
 
     upts = np.column_stack((uniq.real, uniq.imag))
-    keys = None if _has_near_pair(upts) else _delaunay_keys(upts, rep, m)
-    if keys is None:
+    keys = _delaunay_keys(upts, rep, m)
+    rows = np.ones(nu, dtype=bool) if keys is None else _near_points(upts)
+    if rows.any():
         by_rep = np.argsort(rep)
-        yao = yao_bipartite(upts[by_rep], upts[by_rep])
-        r = rep[by_rep]
-        keys = _distinct(_pair_keys(r[yao.p_idx], r[yao.s_idx], m))
+        yao = yao_bipartite(upts[rows], upts[by_rep])
+        cells = _pair_keys(rep[rows][yao.p_idx], rep[by_rep][yao.s_idx], m)
+        keys = _distinct(cells if keys is None else np.concatenate((keys, cells)))
     cu, cv = keys // m, keys % m
     return np.concatenate((zu, cu)), np.concatenate((zv, cv))
 

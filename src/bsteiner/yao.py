@@ -52,8 +52,9 @@ on a slower day when the first line took 0.070 s and 1.32 s.
 A candidate that coincides with the terminal lies in no cone, so an
 overlapping pair yields no edge.  The solver never meets one, because
 `solver.validate_instance` rejects P and S that share a point, but
-`emst` builds the graph of a point set with itself, `yao_bipartite(U, U)`,
-where every point is its own apex.
+`emst` builds rows of a point set U against itself, those of its near
+points Q, `yao_bipartite(U[Q], U)`, or all of them, `yao_bipartite(U, U)`,
+where each terminal is also a candidate, its own apex.
 """
 
 from __future__ import annotations
