@@ -30,11 +30,15 @@ and then takes blocks from the back.  Each thread triangulates its
 block and reduces it to the surviving keys and seam points before it
 takes another, so at most two triangulations of one `euclidean_mst` are
 alive.  Qhull and numpy's loops over large arrays release the
-interpreter lock, so the two threads overlap.  The helper is built with the module and
-kept for the life of the process; a forked child builds its own.  A
-block that does not triangulate stops both threads, and the helper has
-returned before the seam call, which runs on the calling thread, and
-before any fallback starts.
+interpreter lock, so the two threads overlap.  The helper is built with
+the module and kept for the life of the process; a forked child builds
+its own.  Its work runs in the order it was submitted (`on_helper`):
+`solver.preprocess` gives it the cone table's first round before the
+tree starts, so it joins the queue once that round is done, and the
+calling thread takes the blocks until then.  A block that does not
+triangulate stops both threads, and the helper has returned before the
+seam call, which runs on the calling thread, and before any fallback
+starts.
 
 Qhull is not exact around near-duplicates, even those it keeps: it can
 join a point to the farther of two points 1e-12 apart.  So each point
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,22 +168,34 @@ def _delaunay(pts: np.ndarray) -> Delaunay | None:
     return tri if len(tri.coplanar) == 0 else None
 
 
-# The one helper thread that shares the block queue with the caller, kept
-# for the life of the process: on a 2-core machine an executor per call
-# raised the benchmark's uniform peak resident memory from about 95 to
-# 99.5 MB.  Reducing its blocks on the helper, where it used to run only
-# Qhull, moved that peak by under 1 MB: blob 84.0 -> 83.4 MB and uniform
-# 83.0 -> 82.2 MB, medians of 10 and 6 runs.  The executor is built with
-# the module and starts its thread at the first submit, which is
-# thread-safe.  A forked child inherits the executor but not its thread,
-# and would wait forever on it, so the child builds its own.
+# The one helper thread, kept for the life of the process.  It runs the
+# cone table's k = 2 round beside the spanning tree (`solver.preprocess`)
+# and shares the block queue with the caller.  On a 2-core machine an
+# executor per call raised the benchmark's uniform peak resident memory
+# from about 95 to 99.5 MB.  Reducing its blocks on the helper, where it
+# used to run only Qhull, moved that peak by under 1 MB: blob 84.0 -> 83.4
+# MB and uniform 83.0 -> 82.2 MB, medians of 10 and 6 runs.  The executor
+# is built with the module and starts its thread at the first submit,
+# which is thread-safe: the first `preprocess`, or the first
+# `euclidean_mst` of more than one block.  A forked child inherits the
+# executor but not its thread, and would wait forever on it, so the child
+# builds its own.
 def _new_helper() -> None:
     global _helper
-    _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bsteiner-delaunay")
+    _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bsteiner-helper")
 
 
 _new_helper()
 os.register_at_fork(after_in_child=_new_helper)
+
+
+def on_helper(fn, *args) -> Future:
+    """Run fn(*args) on the helper thread, after the work submitted to it before.
+
+    The caller must wait for the future before it returns, so that no work
+    outlives the call that submitted it.
+    """
+    return _helper.submit(fn, *args)
 
 
 def _blocks(pts: np.ndarray):
@@ -346,7 +362,7 @@ def _delaunay_keys(upts: np.ndarray, rep: np.ndarray, m: int) -> np.ndarray | No
         queue.clear()
         return False
 
-    pending = [_helper.submit(work, len(blocks) - 1, queue.pop)] if len(blocks) > 1 else []
+    pending = [on_helper(work, len(blocks) - 1, queue.pop)] if len(blocks) > 1 else []
     try:
         done = work(0, queue.popleft)
     finally:

@@ -1,7 +1,8 @@
 """End-to-end solver for bottleneck-optimal full Steiner trees.
 
-Pipeline: spanning tree of the candidate set, then the six-cone terminal
-graph up to the tree's largest edge (cells beyond it, other than each
+Pipeline: spanning tree of the candidate set, beside it on a helper
+thread the first round of the six-cone terminal graph, then that graph
+up to the tree's largest edge (cells beyond it, other than each
 terminal's nearest, may stay unsettled, since no decision reads them),
 the threshold index in closed form, then assembly of the at most six
 candidate trees and selection of the one with the smallest bottleneck.
@@ -24,6 +25,7 @@ and `bsteiner decide` all read that one table.
 from __future__ import annotations
 
 import time
+from concurrent.futures import wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +38,10 @@ from .decision import (
     forest_components,
     tree_bottlenecks,
 )
-from .emst import euclidean_mst, sparse_graph
+from .emst import euclidean_mst, on_helper, sparse_graph
 from .geometry import as_points, check_disjoint, squared_distances
-from .yao import YaoGraph, row_any, row_min, yao_bipartite
+from .yao import YaoGraph, nearest_cells, row_any, row_min
+from .yao import yao_bipartite  # noqa: F401  (unused here; benchmark/tracing.py wraps solver.yao_bipartite)
 
 
 @dataclass(frozen=True)
@@ -84,18 +87,29 @@ def validate_instance(P, S) -> tuple[np.ndarray, np.ndarray]:
 def preprocess(P, S) -> SolverContext:
     """Validate an instance and build the shared context for decision calls.
 
-    The spanning tree comes first, and its largest edge M is the cone
-    table's `limit` (inf when the tree has no edge).  A decision at a
-    threshold up to M reads only cells shorter than it.  Above M the tree
-    is one component, and the decision and the assembly read only each
-    row's minimum.  So every read is exact, although cells at or beyond M
-    may read as empty.  The table holds each row's nearest cell, and the
-    readers fill the rows they need (`YaoGraph.complete`).
+    The spanning tree's largest edge M is the cone table's `limit` (inf
+    when the tree has no edge).  A decision at a threshold up to M reads
+    only cells shorter than it.  Above M the tree is one component, and
+    the decision and the assembly read only each row's minimum.  So
+    every read is exact, although cells at or beyond M may read as empty.
+    The table holds each row's nearest cell, and the readers fill the
+    rows they need (`YaoGraph.complete`).
+
+    The table's k = 2 round does not need M, so it runs on the helper
+    thread (`emst.on_helper`) while the tree is built on this one; the
+    helper then joins the tree's block queue.  The limit is applied once
+    both are done, and the table equals `yao_bipartite(P, S, M)`.  The
+    round is waited for even when the tree raises, and an error raised
+    in the round reaches the caller unchanged.
     """
     P, S = validate_instance(P, S)
-    emst = euclidean_mst(S)
-    limit = emst.thresholds[-1] if len(emst.thresholds) else np.inf
-    return SolverContext(P, S, emst, yao_bipartite(P, S, limit))
+    nearest = on_helper(nearest_cells, P, S)
+    try:
+        tree = euclidean_mst(S)
+    finally:
+        wait([nearest])
+    limit = tree.thresholds[-1] if len(tree.thresholds) else np.inf
+    return SolverContext(P, S, tree, nearest.result().limited(limit))
 
 
 def threshold_value(emst, index: int) -> float:

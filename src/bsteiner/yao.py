@@ -31,7 +31,11 @@ each row's minimum.
 With a limit, the table starts with each terminal's nearest candidate
 only: one unbounded round with k = 2 gives every row its exact minimum
 and, where the second-nearest candidate lies beyond the limit, its whole
-row.  The graph keeps the k-d tree and its leaf boxes, and
+row.  The round does not need the limit, which only decides which cells
+it retires, so it runs first (`nearest_cells`) and the limit is applied
+after it (`NearestCells.limited`); the solver runs the round on a
+helper thread while the spanning tree that gives the limit is built on
+the calling one.  The graph keeps the k-d tree and its leaf boxes, and
 `YaoGraph.complete` fills any other row when a caller needs it, through
 the steps above, so that a row reads the same whenever it is filled.
 Without a limit no cell may be left out, and every row is filled at
@@ -360,7 +364,24 @@ def _scatter_min(keys: np.ndarray, w: np.ndarray, s: np.ndarray, size: int, m: i
     return acc_w, acc_s
 
 
-def _knn_round(kdtree, P, rows, k, bound, limit, Sx, Sy, best_w, best_s, done, radius) -> None:
+def _retired(w: np.ndarray, settled: np.ndarray, r: np.ndarray, limit: float) -> np.ndarray:
+    """Mask of the cells of rows with radius r that no read below `limit` can see.
+
+    A cell that is not settled is retired when r² (1 - 2**-40) is at or
+    above `limit` and above the row's smallest settled cell in `w`.
+    cKDTree's distances and its cut at the query's bound, and the table's
+    w, each carry a few ulps of rounding, so that floor lies below the
+    cell's w by thousands of ulps; where r = bound = sqrt(limit)
+    (1 + 2**-30), it clears the limit by about 2**-29 of it.  So the cell
+    can neither be read below the limit nor be, or tie with, its row's
+    minimum.  A row that settles nothing retires nothing.
+    """
+    floor = r**2 * (1.0 - 2.0**-40)
+    unread = (floor >= limit) & (floor > row_min(np.where(settled, w, np.inf)))
+    return ~settled & unread[:, None]
+
+
+def _knn_round(kdtree, P, rows, k, bound, limit, Sx, Sy, best_w, best_s, done, radius, workers=-1) -> None:
     """Fill the table rows of terminals `rows` from k-nearest-neighbor queries.
 
     Each query fetches the k nearest candidates of a chunk of rows that
@@ -374,26 +395,21 @@ def _knn_round(kdtree, P, rows, k, bound, limit, Sx, Sy, best_w, best_s, done, r
     - settled: its candidate lies strictly inside r (strict: equal radii
       could hide an unseen tie with a smaller index).  An unbounded query
       of every candidate settles every cell.
-    - retired, (inf, m): r² (1 - 2**-40) is at or above `limit` and above
-      the row's smallest settled cell.  cKDTree's distances and its cut
-      at `bound`, and the table's w, each carry a few ulps of rounding, so
-      that floor lies below the cell's w by thousands of ulps; where
-      r = `bound` = sqrt(limit) (1 + 2**-30), it clears the limit by about
-      2**-29 of it.  So the cell can neither be read below the limit nor
-      be, or tie with, its row's minimum.  A row that settles nothing
-      retires nothing.
+    - retired, (inf, m): `_retired` states the rule; with `limit` inf no
+      cell is retired.
     - open: it keeps its seed, the nearest in-cone candidate fetched.
 
     The neighbor lists are reduced in row blocks of about `_BLOCK`
     neighbors, and at most `_BLOCK` cells at small k; each write goes
-    through the terminal's own index.
+    through the terminal's own index.  `workers` is cKDTree's: -1 spreads
+    each query over every core, 1 keeps it on the calling thread.
     """
     m = len(Sx)
     complete = k == m and bound == np.inf
     chunk, step = max(1, _QUERY // k), max(1, _BLOCK // max(k, NUM_CONES))
     for start in range(0, len(rows), chunk):
         part = rows[start : start + chunk]
-        d, idx = kdtree.query(P[part], k=k, distance_upper_bound=bound, workers=-1)
+        d, idx = kdtree.query(P[part], k=k, distance_upper_bound=bound, workers=workers)
         idx = np.atleast_1d(idx).reshape(len(part), k)
         radius[part] = np.minimum(np.atleast_1d(d).reshape(len(part), k)[:, -1], bound)
         del d
@@ -413,9 +429,7 @@ def _knn_round(kdtree, P, rows, k, bound, limit, Sx, Sy, best_w, best_s, done, r
             acc_w = acc_w.reshape(b, NUM_CONES)
             r = radius[block]
             settled = complete | (np.sqrt(acc_w) < r[:, None])
-            floor = r**2 * (1.0 - 2.0**-40)
-            unread = (floor >= limit) & (floor > row_min(np.where(settled, acc_w, np.inf)))
-            retire = ~settled & unread[:, None]
+            retire = _retired(acc_w, settled, r, limit)
             acc_w[retire] = np.inf
             best_w[block] = acc_w
             best_s[block] = np.where(np.isfinite(acc_w), acc_s.reshape(b, NUM_CONES), m)
@@ -613,12 +627,78 @@ class _Filler:
             _cone_search(self.boxes, P, S, cells, radius, best_w, best_s)
 
 
+def _empty_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(best_w, best_s) of n rows of empty cones among m candidates."""
+    return np.full((n, NUM_CONES), np.inf), np.full((n, NUM_CONES), m, dtype=np.int64)
+
+
+@dataclass
+class NearestCells:
+    """The limit-free half of a table with a limit: one unbounded k = 2 round.
+
+    `best_w` and `best_s` hold what the round found, every cell it
+    settled and the seed of every cell it left open, `settled` marks the
+    settled cells and `radius` each row's radius, its second-nearest
+    distance (its nearest when S holds one point).  None of it depends on
+    the limit, so the round can run before the limit is known;
+    `limited` then applies it.
+    """
+
+    filler: _Filler
+    best_w: np.ndarray
+    best_s: np.ndarray
+    settled: np.ndarray
+    radius: np.ndarray
+
+    def limited(self, limit: float) -> YaoGraph:
+        """The table with the squared length `limit`, built in place from the round.
+
+        Each row applies the round's retire rule (`_retired`) with the
+        limit, and keeps only its settled cells.  A row whose cells are all
+        settled or retired is full; a row that settled nothing, whose two
+        nearest candidates tie, is filled at once, and so is every row
+        when the limit is inf, since inf marks a complete table.
+        """
+        settled, m = self.settled, len(self.filler.S)
+        unread = ~(settled | _retired(self.best_w, settled, self.radius, limit))
+        np.putmask(self.best_w, ~settled, np.inf)
+        np.putmask(self.best_s, ~settled, m)
+        graph = YaoGraph(m, self.best_w, self.best_s, limit, ~row_any(unread), self.filler)
+        graph.complete(np.flatnonzero(~row_any(settled) | (limit == np.inf)))
+        return graph
+
+
+def nearest_cells(P: np.ndarray, S: np.ndarray) -> NearestCells:
+    """Build the k-d tree of S and run the unbounded k = 2 round for every row of P.
+
+    P and S are non-empty arrays of points, as `as_points` returns them.
+    The rows are visited in Morton order (`_z_order`), and the round
+    runs with `limit` inf, so it retires nothing: a row's nearest
+    candidate is settled when it lies strictly nearer than the second.
+
+    The round queries on the calling thread alone.  In a solve it runs
+    on the helper while the spanning tree keeps the other core busy, and
+    a query spread over every core starts its threads again each time:
+    on tiny solves that start cost more than the round itself.
+    """
+    n, m = len(P), len(S)
+    f = _Filler(P, S)
+    best_w, best_s = _empty_table(n, m)
+    settled = np.empty((n, NUM_CONES), dtype=bool)
+    radius = np.empty(n)
+    _knn_round(f.kdtree, P, _z_order(P), min(2, m), np.inf, np.inf, f.Sx, f.Sy, best_w, best_s, settled, radius, 1)
+    return NearestCells(f, best_w, best_s, settled, radius)
+
+
 def yao_bipartite(P, S, limit: float = np.inf) -> YaoGraph:
     """Accelerated construction, identical output to `yao_bruteforce` below `limit`.
 
     Without a limit no cell may be left out, and every row is filled
-    whole at once.  With one, every row first gets one unbounded round
-    with k = 2.  A row's nearest candidate is settled when it lies
+    whole at once.  With one, the table is built in two halves: every
+    row first gets one unbounded round with k = 2 (`nearest_cells`), and
+    the limit is applied after it (`NearestCells.limited`), so that
+    `solver.preprocess` can run the round before it knows the limit.
+    A row's nearest candidate is settled when it lies
     strictly nearer than the second, and it is then the row's exact
     minimum.  Where the floor of the second distance clears the limit,
     the round retires the other cells, and the row is full at once.
@@ -671,25 +751,10 @@ def yao_bipartite(P, S, limit: float = np.inf) -> YaoGraph:
     limit = float(limit)
     if not limit >= 0.0:
         raise ValueError(f"limit must be a squared length >= 0, got {limit!r}")
-    best_w = np.full((n, NUM_CONES), np.inf)
-    best_s = np.full((n, NUM_CONES), m, dtype=np.int64)
     if not (n and m):
-        return YaoGraph(m, best_w, best_s, limit)
-    f = _Filler(P, S)
-    graph = YaoGraph(m, best_w, best_s, limit, np.zeros(n, dtype=bool), f)
-    order = _z_order(P)
+        return YaoGraph(m, *_empty_table(n, m), limit)
     if limit == np.inf:
-        graph.complete(order)
+        graph = YaoGraph(m, *_empty_table(n, m), limit, np.zeros(n, dtype=bool), _Filler(P, S))
+        graph.complete(_z_order(P))
         return graph
-
-    done = np.empty((n, NUM_CONES), dtype=bool)
-    _knn_round(f.kdtree, P, order, min(2, m), np.inf, limit, f.Sx, f.Sy, best_w, best_s, done, np.empty(n))
-    # a row keeps only its settled nearest cell unless the round settled or
-    # retired every cell; one that settled none, whose two nearest
-    # candidates tie, is filled now
-    unread = ~done
-    np.putmask(best_w, unread, np.inf)
-    np.putmask(best_s, unread, m)
-    graph.full[:] = ~row_any(unread)
-    graph.complete(np.flatnonzero(~row_any(done)))
-    return graph
+    return nearest_cells(P, S).limited(limit)

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import multiprocessing
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsteiner import solver, yao
+from bsteiner import emst, solver, yao
 from bsteiner.decision import (
     SolverContext,
     candidate_components,
@@ -33,7 +37,7 @@ from bsteiner.solver import (
     threshold_value,
     validate_full_steiner_tree,
 )
-from bsteiner.yao import yao_bipartite, yao_bruteforce
+from bsteiner.yao import row_min, yao_bipartite, yao_bruteforce
 
 COLLINEAR_S = [(0, 0), (1, 0), (2, 0)]
 COLLINEAR_P = [(-1, 0), (3, 0)]
@@ -699,3 +703,157 @@ def test_peak_memory_of_the_solves_cone_table_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20
+
+
+def spy_round(monkeypatch, before=None):
+    """Record the thread of each k = 2 round `preprocess` starts; `before`,
+    if given, runs first on that thread."""
+    real, threads = solver.nearest_cells, []
+
+    def spy(P, S):
+        threads.append(threading.get_ident())
+        if before is not None:
+            before()
+        return real(P, S)
+
+    monkeypatch.setattr(solver, "nearest_cells", spy)
+    return threads
+
+
+def split_instances(rng):
+    """Small uniform, blob- and hull-shaped instances, then the edge cases."""
+    for _ in range(4):
+        n, m = (int(x) for x in rng.integers(1, 200, 2))
+        yield gen_random_instance(n, m, 100.0, seed=int(rng.integers(1 << 31)))
+        yield blob_shaped(rng, n, m + 1)
+        yield lazy_table_instance(rng, 5, n, m)  # terminals ring a disc of candidates
+    yield [(3.0, 4.0), (-1.0, 0.5)], [(0.0, 0.0)]  # m = 1: no tree edge, M = inf
+    yield [(3.0, 4.0), (-1.0, 0.5)], [(1.0, 1.0)] * 5  # every candidate the same point: M = 0.0
+    yield [(0.5, 0.25)], rng.uniform(0.0, 10.0, (50, 2))  # n = 1
+    # the first terminal's three nearest candidates tie, in three cones
+    yield [(0.5, 0.5), (3.0, 0.25)], [(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (5.0, 5.0)]
+
+
+def test_preprocess_builds_the_table_of_yao_bipartite_at_the_trees_limit(monkeypatch):
+    # the k = 2 round runs on the helper before M is known, and the limit
+    # is applied after it: the table equals the one-call construction
+    # cell for cell, and so do the rows it marks full
+    threads = spy_round(monkeypatch)
+    rng = np.random.default_rng(28)
+    limits, retired = [], 0
+    for P, S in split_instances(rng):
+        ctx = preprocess(P, S)
+        thresholds = ctx.emst.thresholds
+        limit = thresholds[-1] if len(thresholds) else np.inf
+        got, want = ctx.yao, yao_bipartite(ctx.P, ctx.S, limit)
+        assert got.limit == want.limit == limit
+        for name in ("best_w", "best_s", "full"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        # and both are exact: each row's minimum, and a full row below M
+        bf = yao_bruteforce(ctx.P, ctx.S)
+        same = (got.best_w == bf.best_w) & (got.best_s == bf.best_s)
+        at_min = bf.best_w == row_min(bf.best_w)[:, None]
+        assert same[at_min | (got.full[:, None] & (bf.best_w < limit))].all()
+        # a full row's cell that reads empty but holds a candidate was retired
+        retired += int(np.count_nonzero(got.full[:, None] & ~same))
+        limits.append(limit)
+    assert len(threads) == len(limits) and threading.get_ident() not in threads
+    assert retired > 0
+    assert limits[-4:-2] == [np.inf, 0.0]
+    # the tied row settled nothing in the round, and was filled at once
+    assert ctx.yao.full[0] and np.count_nonzero(ctx.yao.best_w[0] == 0.5) == 3
+
+
+def test_an_error_in_the_round_reaches_the_caller_unchanged(monkeypatch):
+    error = RuntimeError("raised in the round")
+
+    def fail():
+        raise error
+
+    threads = spy_round(monkeypatch, before=fail)
+    with pytest.raises(RuntimeError) as info:
+        solve(*gen_random_instance(20, 30, 100.0, seed=1))
+    assert info.value is error
+    assert len(threads) == 1 and threads[0] != threading.get_ident()
+
+
+def test_an_error_in_the_tree_still_waits_for_the_round(monkeypatch):
+    events = []
+    error = RuntimeError("raised in the tree")
+
+    def fail(S):
+        events.append("tree")
+        raise error
+
+    real = solver.nearest_cells
+
+    def slow_round(P, S):
+        time.sleep(0.2)
+        out = real(P, S)
+        events.append("round")
+        return out
+
+    monkeypatch.setattr(solver, "nearest_cells", slow_round)
+    monkeypatch.setattr(solver, "euclidean_mst", fail)
+    with pytest.raises(RuntimeError) as info:
+        solve(*gen_random_instance(20, 30, 100.0, seed=1))
+    events.append("raised")
+    assert info.value is error
+    assert events == ["tree", "round", "raised"]
+
+
+def test_concurrent_solves_get_exact_answers(monkeypatch):
+    # Four callers solve at once under a tiny switch interval, on a fresh
+    # helper: their rounds and their Delaunay blocks (at most 16 points)
+    # queue on the one helper thread, and each caller gets the exact answer.
+    monkeypatch.setattr(emst, "_DT_BLOCK", 16)
+    monkeypatch.setattr(emst, "_helper", emst._helper)
+    emst._new_helper()
+    rng = np.random.default_rng(30)
+    cases = [gen_random_instance(8, int(rng.integers(20, 60)), 100.0, seed=i) for i in range(4)]
+    want = [brute_force_optimum(P, S)[0] for P, S in cases]
+    got = {}
+
+    def run(i):
+        got[i] = [solve(*cases[i]).lambda_star for _ in range(5)]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+        emst._helper.shutdown()
+    assert not any(t.is_alive() for t in threads)
+    assert got == {i: [want[i]] * 5 for i in range(4)}
+
+
+def _solve_in_child(P, S, conn):
+    conn.send(solve(P, S).lambda_star)
+    conn.close()
+
+
+def test_forked_child_solves_exactly(monkeypatch):
+    # The parent has used the helper before the fork; the child's rounds
+    # and blocks go to a helper of its own.
+    monkeypatch.setattr(emst, "_DT_BLOCK", 16)
+    P, S = gen_random_instance(8, 40, 100.0, seed=31)
+    want = brute_force_optimum(P, S)[0]
+    assert solve(P, S).lambda_star == want
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_solve_in_child, args=(P, S, send))
+    child.start()
+    try:
+        assert recv.poll(60), "the forked child did not finish"
+        assert recv.recv() == want
+        child.join(10)
+        assert not child.is_alive() and child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(10)

@@ -14,6 +14,7 @@ from bsteiner.geometry import cone_indices_from_deltas, squared_distances
 from bsteiner.solver import solve, validate_instance
 from bsteiner import yao
 from bsteiner.yao import row_any, row_min, same_edges, yao_bipartite, yao_bruteforce
+from test_emst import FAMILIES, degenerate_family, scaled_into_domain
 
 
 def test_single_candidate():
@@ -789,6 +790,21 @@ def test_table_matches_bruteforce_on_degenerate_sets(data):
     assert b.degrees().tolist() == [sum(p == i for p, _ in cells) for i in range(n)]
     edges = [e for i in range(n) for e in b.edges_of(i)]
     assert edges == list(zip(flat["s_idx"], flat["cone"], flat["w"]))
+
+
+# Terminals and candidates are the two parts of one family set, so they
+# may share points, and both are scaled together.
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(FAMILIES), st.integers(0, 2**32 - 1),
+    st.integers(1, 30), st.integers(1, 60), st.integers(-420, 520),
+)
+def test_table_matches_bruteforce_on_degenerate_families(kind, seed, n, m, e):
+    T = scaled_into_domain(degenerate_family(kind, seed, n + m), e)
+    P, S = T[m:], T[:m]
+    assert same_edges(yao_bipartite(P, S), yao_bruteforce(P, S))
+    limit = _mst_limit(S)
+    assert_exact_below(completed_table(P, S, limit), P, S, limit)
 
 
 @contextlib.contextmanager
